@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
     EVEN, ODD, OVER, UNDER, VIRTUAL,
-    DiagramCode, DiagramError, Pass, parity, require_valid, semi_arcs,
+    DiagramCode, DiagramError, Pass, parity, semi_arcs,
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc, gen_word, invert, multiply
@@ -79,7 +79,6 @@ class AlexanderMatrix:
 
 
 def assign_roles(code: DiagramCode) -> Dict[int, CrossingRoles]:
-    require_valid(code)
     arcs = semi_arcs(code)
     positions: Dict[int, List[int]] = {}
     for i, p in enumerate(code.passes):
@@ -134,12 +133,9 @@ def relator_pair(roles: CrossingRoles, crossing_class: str, sign: int) -> Tuple[
     return r_z, r_w
 
 
-def crossing_relators(code: DiagramCode,
-                      parities: Optional[Dict[int, str]] = None) -> List[Relator]:
+def crossing_relators(code: DiagramCode) -> List[Relator]:
     """Two relators per crossing, crossings ordered by id, z before w."""
-    require_valid(code)
-    if parities is None:
-        parities = parity(code)
+    parities = parity(code)
     roles = assign_roles(code)
     virtual_ids = set(code.virtual_ids())
     out: List[Relator] = []
@@ -158,13 +154,13 @@ COMMUTATORS: Tuple[Tuple[str, Word], ...] = (
 )
 
 
-def _word_row(word: Word, cols: Sequence[ColKey]) -> Dict[ColKey, LaurentPoly]:
-    """Abelianized Fox derivatives of one relator, one entry per column."""
-    gens_present = {g for g, _e in word}
+def _word_row(word: Word, cols: Set[ColKey]) -> Dict[ColKey, LaurentPoly]:
+    """Abelianized Fox derivatives of one relator, one entry per column among
+    the relator's own generators; the other columns are zero."""
     row: Dict[ColKey, LaurentPoly] = {}
-    for col in cols:
-        g = (col, 0) if isinstance(col, str) else arc(col)
-        if g not in gens_present:
+    for g in dict.fromkeys(g for g, _e in word):
+        col = g[1] if g[0] == "a" else g[0]
+        if col not in cols:
             continue
         entry = fx.abelianize(fx.fox_derivative(word, g))
         if entry:
@@ -174,11 +170,11 @@ def _word_row(word: Word, cols: Sequence[ColKey]) -> Dict[ColKey, LaurentPoly]:
 
 def build_matrix_A(code: DiagramCode) -> AlexanderMatrix:
     """2n x 2n matrix of arc-derivatives of the crossing relators."""
-    require_valid(code)
     cols: List[ColKey] = list(range(1, len(code.passes) + 1))
+    col_set = set(cols)
     rows, labels = [], []
     for rel in crossing_relators(code):
-        rows.append(_word_row(rel.word, cols))
+        rows.append(_word_row(rel.word, col_set))
         labels.append((rel.cid, rel.rel_kind))
     return AlexanderMatrix(rows, labels, cols)
 
@@ -187,14 +183,14 @@ def build_full_matrix_M(code: DiagramCode) -> AlexanderMatrix:
     """(2n+3) x (2n+3) bordered matrix: A plus s/q/h columns plus the three
     commutator rows [0...0, 1-q, s-1, 0], [0...0, 1-h, 0, s-1],
     [0...0, 0, h-1, 1-q]."""
-    require_valid(code)
     cols: List[ColKey] = list(range(1, len(code.passes) + 1)) + ["s", "q", "h"]
+    col_set = set(cols)
     rows, labels = [], []
     for rel in crossing_relators(code):
-        rows.append(_word_row(rel.word, cols))
+        rows.append(_word_row(rel.word, col_set))
         labels.append((rel.cid, rel.rel_kind))
     for name, word in COMMUTATORS:
-        rows.append(_word_row(word, cols))
+        rows.append(_word_row(word, col_set))
         labels.append(("comm", name))
     return AlexanderMatrix(rows, labels, cols)
 
@@ -361,7 +357,6 @@ def parity_alexander(code: DiagramCode) -> InvariantResult:
     is kept as the small-instance oracle gcd_of_minors.  The empty code has
     a 0x0 matrix and canonical invariant 1.
     """
-    require_valid(code)
     par = parity(code)
     det = determinant(build_matrix_A(code))
     canonical, unit = det.canonicalize()
@@ -513,7 +508,7 @@ def _selected_rows(roles: CrossingRoles, kind: str) -> List[Dict[ColKey, Laurent
         w_word = multiply(gen_word(arc(roles.y_in)), invert(gen_word(arc(roles.w_out))))
     else:
         raise ValueError(kind)
-    cols = sorted({roles.x_in, roles.y_in, roles.z_out, roles.w_out})
+    cols = {roles.x_in, roles.y_in, roles.z_out, roles.w_out}
     return [_word_row(z_word, cols), _word_row(w_word, cols)]
 
 
@@ -522,7 +517,6 @@ def skein_matrices(code: DiagramCode, crossing_id: int
     """(M_plus, M_minus, M_smooth): identical outside the two rows of the
     selected crossing, which carry the positive / negative / smoothing
     templates under one shared labeling."""
-    require_valid(code)
     if crossing_id not in code.signs:
         raise DiagramError(f"crossing {crossing_id} is not classical")
     if parity(code)[crossing_id] != EVEN:
@@ -577,7 +571,6 @@ def switch_crossing(code: DiagramCode, crossing_id: int) -> DiagramCode:
     assignment, is direction-determined), so the invariant is unchanged
     exactly.
     """
-    require_valid(code)
     if crossing_id not in code.signs:
         raise DiagramError(f"crossing {crossing_id} is not classical")
     passes = tuple(
@@ -624,7 +617,6 @@ def check_symmetries(code: DiagramCode) -> SymmetryReport:
 
 def group_presentation(code: DiagramCode) -> str:
     """Printable presentation: arc generators, s, q, h, and all relators."""
-    require_valid(code)
     n2 = len(code.passes)
     gens = [f"a{i}" for i in range(1, n2 + 1)] + ["s", "q", "h"]
     lines = ["generators: " + " ".join(gens), "relators:"]

@@ -15,6 +15,11 @@ Token syntax (used both for single codes and inside ``.vkd`` files):
     V<id>x        virtual pass carrying the frame bit
     V<id>y        virtual pass without the frame bit
 
+A ``DiagramCode`` is checked when it is built: its constructor raises
+``DiagramError`` naming every violated invariant.  Every code, parsed,
+realized, moved or built by hand, goes through the constructor, so
+functions trust the codes they are given and never check them again.
+
 All operations are pure: they never mutate their inputs.
 """
 
@@ -57,6 +62,11 @@ class DiagramCode:
     passes: Tuple[Pass, ...]
     signs: Dict[int, int]  # classical crossing id -> +1 / -1
 
+    def __post_init__(self) -> None:
+        violations = validate(self)
+        if violations:
+            raise DiagramError("; ".join(violations))
+
     def __len__(self) -> int:
         return len(self.passes)
 
@@ -76,8 +86,6 @@ class DiagramCode:
     def to_text(self) -> str:
         return " ".join(p.token(self.signs.get(p.cid, 0)) for p in self.passes)
 
-
-EMPTY_CODE = DiagramCode((), {})
 
 _TOKEN_RE = re.compile(r"^(?:([OU])(\d+)([+-])|V(\d+)([xy]))$")
 
@@ -102,11 +110,7 @@ def parse_diagram(text: str) -> DiagramCode:
             passes.append(Pass(cid, m.group(1)))
         else:
             passes.append(Pass(int(m.group(4)), VIRTUAL, m.group(5) == "x"))
-    code = DiagramCode(tuple(passes), signs)
-    violations = validate(code)
-    if violations:
-        raise DiagramError("; ".join(violations))
-    return code
+    return DiagramCode(tuple(passes), signs)
 
 
 def validate(code: DiagramCode) -> List[str]:
@@ -147,10 +151,7 @@ def validate(code: DiagramCode) -> List[str]:
     return out
 
 
-def require_valid(code: DiagramCode) -> None:
-    violations = validate(code)
-    if violations:
-        raise DiagramError("; ".join(violations))
+EMPTY_CODE = DiagramCode((), {})
 
 
 # -- file formats -------------------------------------------------------------
@@ -204,7 +205,6 @@ def parity(code: DiagramCode) -> Dict[int, str]:
     depend on which of the two gaps is counted, because the total number
     of classical passes is even.
     """
-    require_valid(code)
     positions: Dict[int, List[int]] = {}
     for i, p in enumerate(code.passes):
         if p.kind != VIRTUAL:
@@ -228,7 +228,6 @@ class SemiArcs:
     (1-indexed, cyclic).  The empty code has a single closed arc."""
 
     def __init__(self, code: DiagramCode):
-        require_valid(code)
         self.n_passes = len(code.passes)
         self.count = self.n_passes if self.n_passes else 1
 
@@ -254,13 +253,11 @@ def reverse(code: DiagramCode) -> DiagramCode:
     Both strand directions negate at every crossing, so frame orientation
     and classical signs are preserved.
     """
-    require_valid(code)
     return DiagramCode(tuple(reversed(code.passes)), dict(code.signs))
 
 
 def switch(code: DiagramCode) -> DiagramCode:
     """Switch every classical crossing: over/under swapped, sign negated."""
-    require_valid(code)
     passes = tuple(
         Pass(p.cid, UNDER if p.kind == OVER else OVER) if p.kind != VIRTUAL else p
         for p in code.passes
@@ -272,7 +269,6 @@ def flip(code: DiagramCode) -> DiagramCode:
     """180-degree rotation of the diagram plane: over/under swap (signs kept,
     the swap composes with the plane reflection), frame bits move to the
     other pass (plane orientation reverses)."""
-    require_valid(code)
     passes = tuple(
         Pass(p.cid, VIRTUAL, not p.frame) if p.kind == VIRTUAL
         else Pass(p.cid, UNDER if p.kind == OVER else OVER)
@@ -287,7 +283,6 @@ def switched_flip(code: DiagramCode) -> DiagramCode:
 
 
 def shift_basepoint(code: DiagramCode, k: int) -> DiagramCode:
-    require_valid(code)
     n = len(code.passes)
     if n == 0:
         return code
@@ -297,7 +292,6 @@ def shift_basepoint(code: DiagramCode, k: int) -> DiagramCode:
 
 def relabel(code: DiagramCode, perm: Dict[int, int]) -> DiagramCode:
     """Rename crossing ids through a bijection on the ids of the code."""
-    require_valid(code)
     ids = set(code.crossing_ids())
     if set(perm.keys()) != ids or len(set(perm.values())) != len(ids):
         raise DiagramError("relabeling must be a bijection on the crossing ids")
@@ -310,7 +304,6 @@ def relabel(code: DiagramCode, perm: Dict[int, int]) -> DiagramCode:
 
 def classical_gauss_code(code: DiagramCode) -> Tuple[Tuple[int, str, int], ...]:
     """Project to the signed Gauss code: drop virtual passes."""
-    require_valid(code)
     return tuple(
         (p.cid, p.kind, code.signs[p.cid])
         for p in code.passes
@@ -391,18 +384,14 @@ def _insert(code: DiagramCode, sites: List[Tuple[int, List[Pass]]],
         passes[pos:pos] = placed[pos]
     signs = dict(code.signs)
     signs.update(new_signs)
-    out = DiagramCode(tuple(passes), signs)
-    require_valid(out)
-    return out
+    return DiagramCode(tuple(passes), signs)
 
 
 def _remove_positions(code: DiagramCode, positions: Sequence[int],
                       drop_ids: Sequence[int]) -> DiagramCode:
     keep = [p for i, p in enumerate(code.passes) if i not in set(positions)]
     signs = {c: s for c, s in code.signs.items() if c not in set(drop_ids)}
-    out = DiagramCode(tuple(keep), signs)
-    require_valid(out)
-    return out
+    return DiagramCode(tuple(keep), signs)
 
 
 def _positions_of(code: DiagramCode, cid: int) -> List[int]:
@@ -415,7 +404,6 @@ def _adjacent(code: DiagramCode, i: int, j: int) -> bool:
 
 
 def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
-    require_valid(code)
     kind = move[0]
 
     if kind == "r1_insert":
@@ -570,6 +558,4 @@ def random_code(rng, max_crossings: int = 6, min_crossings: int = 1,
             passes[i] = Pass(cid, OVER if over_first else UNDER)
             passes[j] = Pass(cid, UNDER if over_first else OVER)
             signs[cid] = 1 if rng.random() < 0.5 else -1
-    code = DiagramCode(tuple(passes), signs)  # type: ignore[arg-type]
-    require_valid(code)
-    return code
+    return DiagramCode(tuple(passes), signs)  # type: ignore[arg-type]

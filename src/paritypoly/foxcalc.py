@@ -106,10 +106,6 @@ def ring_add(a: RingElem, b: RingElem) -> RingElem:
     return out
 
 
-def ring_neg(a: RingElem) -> RingElem:
-    return {w: -c for w, c in a.items()}
-
-
 def word_action(u: Word, a: RingElem) -> RingElem:
     """Left-multiply every word of a by u."""
     out: RingElem = {}

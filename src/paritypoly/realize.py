@@ -22,7 +22,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagram import (
-    EMPTY_CODE, OVER, UNDER, VIRTUAL, DiagramCode, Pass, require_valid,
+    EMPTY_CODE, OVER, UNDER, VIRTUAL, DiagramCode, Pass, classical_gauss_code,
 )
 
 GaussEntry = Tuple[int, str, int]  # (crossing id, "O"/"U", sign)
@@ -301,8 +301,6 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
             final.append(Pass(center_of[p], kind))
 
     code = DiagramCode(tuple(final), dict(sign_of))
-    require_valid(code)
-    from .diagram import classical_gauss_code
     if classical_gauss_code(code) != tuple(g):
         raise RealizationError("classical projection does not reproduce the input code")
     return code

@@ -256,24 +256,19 @@ def suite_prop1(diagrams: Sequence[Tuple[str, DiagramCode]] = ()) -> VerifyRepor
     return report
 
 
+# every entry takes (diagrams, trials, seed); only moves and foxid are seeded
 SUITES = {
-    "moves": suite_moves,
-    "symmetry": suite_symmetry,
-    "skein": suite_skein,
-    "oddswitch": suite_oddswitch,
-    "foxid": suite_foxid,
-    "prop1": suite_prop1,
+    "moves": lambda d, trials, seed: suite_moves(d, trials=trials, seed=seed),
+    "symmetry": lambda d, trials, seed: suite_symmetry(d),
+    "skein": lambda d, trials, seed: suite_skein(d),
+    "oddswitch": lambda d, trials, seed: suite_oddswitch(d),
+    "foxid": lambda d, trials, seed: suite_foxid(d, trials=trials, seed=seed),
+    "prop1": lambda d, trials, seed: suite_prop1(d),
 }
 
 
 def run_suite(name: str, diagrams: Sequence[Tuple[str, DiagramCode]],
               trials: int = 1000, seed: int = 0) -> VerifyReport:
-    if name == "moves":
-        return suite_moves(diagrams, trials=trials, seed=seed)
-    if name == "foxid":
-        return suite_foxid(diagrams, trials=trials, seed=seed)
-    if name in ("symmetry", "skein", "oddswitch"):
-        return SUITES[name](diagrams)
-    if name == "prop1":
-        return suite_prop1(diagrams)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](diagrams, trials, seed)

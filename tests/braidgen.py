@@ -10,7 +10,7 @@ frame convention); ("v", i) virtual crossing with the frame bit on the
 strand moving i -> i+1.
 """
 
-from paritypoly.diagram import OVER, UNDER, VIRTUAL, DiagramCode, Pass, require_valid
+from paritypoly.diagram import OVER, UNDER, VIRTUAL, DiagramCode, Pass
 
 
 def braid_closure(width, word):
@@ -42,9 +42,7 @@ def braid_closure(width, word):
     passes = []
     for strand in cycle:
         passes.extend(passes_by_strand[strand])
-    code = DiagramCode(tuple(passes), signs)
-    require_valid(code)
-    return code
+    return DiagramCode(tuple(passes), signs)
 
 
 def random_letter(rng, width, p_virtual=0.45):

@@ -5,8 +5,8 @@ knots are the published ones.  The named fixtures are documented stand-ins
 (the table itself was unreachable from the build environment), chosen to
 match each entry's classical crossing count and odd/even parity profile;
 criteria that compare against the published values report honestly against
-those stand-ins.  See notes/decisions.md (outside the package) for the
-analysis of which criteria cannot be met and why.
+those stand-ins.  Which criteria cannot be met, and why, is open as
+ROADMAP item 4 (the acceptance convention audit).
 """
 
 import time

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from braidgen import braid_closure
+from paritypoly import diagram
+from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     DiagramCode, DiagramError, EVEN, ODD, OVER, Pass, UNDER, VIRTUAL,
-    classical_gauss_code, flip, format_vkd, parity, parse_diagram, parse_vkd,
+    apply_move, classical_gauss_code, flip, format_vkd, parity, parse_diagram, parse_vkd,
     random_code, relabel, reverse, same_up_to_shift_relabel, semi_arcs,
     shift_basepoint, switch, switched_flip, validate,
 )
+from paritypoly.realize import parse_gauss, realize
 
 
 def test_parse_basic():
@@ -35,16 +38,29 @@ def test_parse_errors():
 
 
 def test_validate_violations():
-    two_overs = DiagramCode((Pass(1, OVER), Pass(1, OVER)), {1: 1})
-    assert any("two over passes" in v for v in validate(two_overs))
-    both_frames = DiagramCode((Pass(1, VIRTUAL, True), Pass(1, VIRTUAL, True)), {})
-    assert any("frame bits" in v for v in validate(both_frames))
-    signed_virtual = DiagramCode((Pass(1, VIRTUAL, True), Pass(1, VIRTUAL, False)), {1: 1})
-    assert any("must not carry a sign" in v for v in validate(signed_virtual))
-    missing_sign = DiagramCode((Pass(1, OVER), Pass(1, UNDER)), {})
-    assert any("without a sign" in v for v in validate(missing_sign))
+    with pytest.raises(DiagramError, match="two over passes"):
+        DiagramCode((Pass(1, OVER), Pass(1, OVER)), {1: 1})
+    with pytest.raises(DiagramError, match="frame bits"):
+        DiagramCode((Pass(1, VIRTUAL, True), Pass(1, VIRTUAL, True)), {})
+    with pytest.raises(DiagramError, match="must not carry a sign"):
+        DiagramCode((Pass(1, VIRTUAL, True), Pass(1, VIRTUAL, False)), {1: 1})
+    with pytest.raises(DiagramError, match="without a sign"):
+        DiagramCode((Pass(1, OVER), Pass(1, UNDER)), {})
     assert validate(parse_diagram("O1+ U2+ U1+ O2+")) == []
     assert validate(DiagramCode((), {})) == []
+
+
+def test_code_is_validated_once_when_built(monkeypatch):
+    calls = []
+    check = diagram.validate
+    monkeypatch.setattr(diagram, "validate", lambda code: calls.append(code) or check(code))
+    code = realize(parse_gauss("O1+U2+O3+U1+O2+U3+"))
+    assert len(calls) == 1 and calls[0] is code
+    calls.clear()
+    parity_alexander(code)
+    assert calls == []
+    moved = apply_move(code, ("r2_insert", 1, 3, "po+"))
+    assert len(calls) == 1 and calls[0] is moved
 
 
 def test_parity_interstice_example():
