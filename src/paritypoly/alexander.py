@@ -22,10 +22,27 @@ the x strand; every relator is stored as RHS * target^-1):
     even negative:   z = s^-1 y s             w = s^-1 y^-1 s x y
     odd, any sign:   z = h^-1 y h             w = h x h^-1
     virtual:         z = q^-1 y q             w = q x q^-1
+
+Their abelianized Fox derivatives are the row templates of A: each row is
+-1 on its target arc plus monomial-weighted incoming arcs,
+
+    even positive:   z: (1 - st) x + t y      w: s x
+    even negative:   z: s^-1 y                w: t^-1 x + (1 - s^-1 t^-1) y
+    odd, any sign:   z: h^-1 y                w: h x
+    virtual:         z: q^-1 y                w: q x
+
+where entries on coinciding arcs add.
+
+Two paths build A.  ``build_matrix_A``, which ``parity_alexander`` uses,
+reads the rows straight off the templates.  The oracle path builds words
+(``crossing_relators``) and differentiates them (``fox_matrix_A``,
+``build_full_matrix_M``); the bordered matrix M, the presentation view and
+the tests use it, and the tests check that both paths give the same A.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -38,7 +55,7 @@ from .diagram import (
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc, gen_word, invert, multiply
-from .laurent import InexactDivision, LaurentPoly
+from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, InexactDivision, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
@@ -168,8 +185,9 @@ def _word_row(word: Word, cols: Set[ColKey]) -> Dict[ColKey, LaurentPoly]:
     return row
 
 
-def build_matrix_A(code: DiagramCode) -> AlexanderMatrix:
-    """2n x 2n matrix of arc-derivatives of the crossing relators."""
+def fox_matrix_A(code: DiagramCode) -> AlexanderMatrix:
+    """The oracle for build_matrix_A: the 2n x 2n matrix of arc-derivatives
+    of the crossing relators."""
     cols: List[ColKey] = list(range(1, len(code.passes) + 1))
     col_set = set(cols)
     rows, labels = [], []
@@ -195,65 +213,157 @@ def build_full_matrix_M(code: DiagramCode) -> AlexanderMatrix:
     return AlexanderMatrix(rows, labels, cols)
 
 
+# -- row templates (the production path) ----------------------------------------
+
+# crossing class -> (z row, w row), each the (incoming role, coefficient)
+# entries besides the -1 on the row's target arc
+ROW_TEMPLATES: Dict[str, Tuple[Tuple[Tuple[str, LaurentPoly], ...], ...]] = {
+    "even+": ((("x", ONE - S * T), ("y", T)), (("x", S),)),
+    "even-": ((("y", S1),), (("x", T1), ("y", ONE - S1 * T1))),
+    ODD: ((("y", H1),), (("x", H),)),
+    "virtual": ((("y", Q1),), (("x", Q),)),
+}
+_MINUS_ONE = LaurentPoly.const(-1)
+
+
+def build_matrix_A(code: DiagramCode,
+                   parities: Optional[Dict[int, str]] = None) -> AlexanderMatrix:
+    """2n x 2n matrix A read off ROW_TEMPLATES: one column per arc, rows by
+    ascending crossing id, z before w; entries on coinciding arcs add and
+    zero entries are dropped.  ``parities`` is ``parity(code)`` when the
+    caller has it.  fox_matrix_A builds the same matrix from Fox derivatives."""
+    if parities is None:
+        parities = parity(code)
+    cols: List[ColKey] = list(range(1, len(code.passes) + 1))
+    rows: List[Dict[ColKey, LaurentPoly]] = []
+    labels = []
+    for cid, roles in sorted(assign_roles(code).items()):
+        sign = code.signs.get(cid)
+        if sign is None:
+            cls = "virtual"
+        elif parities[cid] == ODD:
+            cls = ODD
+        else:
+            cls = "even+" if sign > 0 else "even-"
+        incoming = {"x": roles.x_in, "y": roles.y_in}
+        for kind, target, entries in zip("zw", (roles.z_out, roles.w_out), ROW_TEMPLATES[cls]):
+            row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
+            for role, coeff in entries:
+                col = incoming[role]
+                row[col] = row[col] + coeff if col in row else coeff
+            rows.append({c: v for c, v in row.items() if v})
+            labels.append((cid, kind))
+    return AlexanderMatrix(rows, labels, cols)
+
+
 # -- exact determinants --------------------------------------------------------
 
 
-def _unit_inverse(p: LaurentPoly) -> LaurentPoly:
-    ((e, c),) = p.terms.items()
-    return LaurentPoly({(-e[0], -e[1], -e[2], -e[3]): c})
+def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b, as a shift when either factor is a single term."""
+    if len(b.terms) == 1:
+        ((e, c),) = b.terms.items()
+        return a.shift(e, c)
+    if len(a.terms) == 1:
+        ((e, c),) = a.terms.items()
+        return b.shift(e, c)
+    return a * b
+
+
+def _permutation_sign(perm: List[int]) -> int:
+    """+1 or -1: the parity of perm, a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def _det_units_then_bareiss(rows: List[Dict[ColKey, LaurentPoly]],
                             cols: List[ColKey]) -> LaurentPoly:
     """Exact determinant: pivot on +/- monomial entries while any exist
     (cheap row operations, most relator rows have one), then finish the
-    unit-free core with fraction-free Bareiss elimination."""
-    rows = [dict(r) for r in rows]
-    cols = list(cols)
-    acc = LaurentPoly.one()
-    sign = 1
+    unit-free core with fraction-free Bareiss elimination.
 
-    while rows:
-        # rows sorted stably by sparsity so sparse relator rows go first
-        pivot = None
-        for i in sorted(range(len(rows)), key=lambda k: len(rows[k])):
-            if not rows[i]:
-                return LaurentPoly.zero()
-            for j, col in enumerate(cols):
-                entry = rows[i].get(col)
-                if entry is not None and entry.is_unit_monomial():
-                    pivot = (i, j, col, entry)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j, col, entry = pivot
-        inv = _unit_inverse(entry)
-        for k, other in enumerate(rows):
-            if k == i or col not in other:
-                continue
-            factor = other.pop(col) * inv
-            for c2, v2 in rows[i].items():
-                if c2 == col:
+    Each unit pivot is taken in the sparsest live row that has one, at its
+    unit entry of lowest column position.  Rows wait in a heap of (length,
+    row), re-queued whenever a pivot changes them; an entry whose row was
+    pivoted or changed length is skipped.  A column -> rows index confines
+    each elimination step to the rows holding the pivot column.  The pivot
+    rows then form a triangular block, so det is the product of the pivots
+    times det(core), signed by the parity of the row -> column matching:
+    each pivot row to its column, then the core rows to the core columns in
+    order.
+    """
+    position = {c: j for j, c in enumerate(cols)}
+    work = [dict(r) for r in rows]
+    holders: Dict[ColKey, Set[int]] = {c: set() for c in cols}
+    for i, row in enumerate(work):
+        for c in row:
+            holders[c].add(i)
+    heap = [(len(row), i) for i, row in enumerate(work)]
+    heapq.heapify(heap)
+    match: Dict[int, int] = {}  # row -> column position
+    pivots: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]  # exponents; summed at the end
+    unit_sign = 1
+
+    while heap:
+        length, i = heapq.heappop(heap)
+        if i in match or length != len(work[i]):
+            continue  # stale entry
+        if not length:
+            return LaurentPoly.zero()
+        row = work[i]
+        col = None
+        for c, v in row.items():
+            if v.is_unit_monomial() and (col is None or position[c] < position[col]):
+                col = c
+        if col is None:
+            continue  # queued again if a later pivot changes the row
+        match[i] = position[col]
+        for c in row:
+            holders[c].discard(i)
+        ((e, sign),) = row.pop(col).terms.items()
+        pivots.append(e)
+        unit_sign *= sign
+        # row_k -= (row_k[col] / pivot) * row_i, with the pivot a signed monomial
+        inverse = (-e[0], -e[1], -e[2], -e[3])
+        scaled = [(c, v.shift(inverse, -sign)) for c, v in row.items()]
+        for k in holders.pop(col):
+            other = work[k]
+            factor = other.pop(col)
+            for c, v in scaled:
+                delta = _times(factor, v)
+                cur = other.get(c)
+                if cur is None:
+                    other[c] = delta
+                    holders[c].add(k)
                     continue
-                nv = other.get(c2, LaurentPoly.zero()) - factor * v2
-                if nv:
-                    other[c2] = nv
+                new = cur + delta
+                if new:
+                    other[c] = new
                 else:
-                    other.pop(c2, None)
-        if (i + j) % 2:
-            sign = -sign
-        acc = acc * entry
-        del rows[i]
-        del cols[j]
+                    del other[c]
+                    holders[c].discard(k)
+            heapq.heappush(heap, (len(other), k))
 
-    if not rows:
-        return acc if sign > 0 else -acc
-
-    core = _bareiss([[r.get(c, LaurentPoly.zero()) for c in cols] for r in rows])
-    result = acc * core
-    return result if sign > 0 else -result
+    core = LaurentPoly.one()
+    if len(match) < len(work):
+        core_rows = [i for i in range(len(work)) if i not in match]
+        taken = set(match.values())
+        core_cols = [c for c in cols if position[c] not in taken]
+        for i, c in zip(core_rows, core_cols):
+            match[i] = position[c]
+        zero = LaurentPoly.zero()
+        core = _bareiss([[work[i].get(c, zero) for c in core_cols] for i in core_rows])
+    sign = unit_sign * _permutation_sign([match[i] for i in range(len(work))])
+    return core.shift(tuple(map(sum, zip(*pivots))), sign)
 
 
 def _bareiss(m: List[List[LaurentPoly]]) -> LaurentPoly:
@@ -353,12 +463,13 @@ class InvariantResult:
 def parity_alexander(code: DiagramCode) -> InvariantResult:
     """Canonical invariant of a diagram code, with widths and crossing counts.
 
-    Computed as det(A); the gcd-of-minors definition agrees up to unit and
-    is kept as the small-instance oracle gcd_of_minors.  The empty code has
-    a 0x0 matrix and canonical invariant 1.
+    Computed as det(A) of build_matrix_A, no Fox derivatives involved; the
+    gcd-of-minors definition agrees up to unit and is kept as the
+    small-instance oracle gcd_of_minors.  The empty code has a 0x0 matrix
+    and canonical invariant 1.
     """
     par = parity(code)
-    det = determinant(build_matrix_A(code))
+    det = determinant(build_matrix_A(code, par))
     canonical, unit = det.canonicalize()
     zero = canonical.is_zero()
     return InvariantResult(
@@ -519,9 +630,10 @@ def skein_matrices(code: DiagramCode, crossing_id: int
     templates under one shared labeling."""
     if crossing_id not in code.signs:
         raise DiagramError(f"crossing {crossing_id} is not classical")
-    if parity(code)[crossing_id] != EVEN:
+    parities = parity(code)
+    if parities[crossing_id] != EVEN:
         raise DiagramError(f"crossing {crossing_id} is odd; use switch_crossing")
-    base = build_matrix_A(code)
+    base = build_matrix_A(code, parities)
     roles = assign_roles(code)[crossing_id]
     out = []
     for kind in ("plus", "minus", "smooth"):

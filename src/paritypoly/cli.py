@@ -117,9 +117,12 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    """One JSON record per table line; a line that fails gets an error record
+    and the stream goes on.  Exit 2 if any line hit an internal error, else
+    1 if any line failed."""
     path = Path(args.table)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    failed = False
+    failed = internal = False
     try:
         for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             line = raw.strip()
@@ -136,11 +139,14 @@ def cmd_batch(args) -> int:
             except (DiagramError, GaussError) as exc:
                 rec = {"name": name, "line": lineno, "error": str(exc)}
                 failed = True
+            except (InternalArithmeticError, InexactDivision, RealizationError) as exc:
+                rec = {"name": name, "line": lineno, "error": str(exc)}
+                internal = True
             print(json.dumps(rec, sort_keys=True), file=out)
     finally:
         if args.out:
             out.close()
-    return 1 if failed else 0
+    return 2 if internal else 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,7 +45,7 @@ class MoveError(ValueError):
     """Raised when a move's local pattern is not present at the given site."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pass:
     cid: int
     kind: str          # OVER, UNDER or VIRTUAL
@@ -57,7 +57,7 @@ class Pass:
         return f"{self.kind}{self.cid}{'+' if sign > 0 else '-'}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagramCode:
     passes: Tuple[Pass, ...]
     signs: Dict[int, int]  # classical crossing id -> +1 / -1
@@ -71,11 +71,7 @@ class DiagramCode:
         return len(self.passes)
 
     def crossing_ids(self) -> List[int]:
-        seen: List[int] = []
-        for p in self.passes:
-            if p.cid not in seen:
-                seen.append(p.cid)
-        return seen
+        return list(dict.fromkeys(p.cid for p in self.passes))
 
     def classical_ids(self) -> List[int]:
         return [c for c in self.crossing_ids() if c in self.signs]
@@ -95,21 +91,31 @@ _TOKEN_RE = re.compile(r"^(?:([OU])(\d+)([+-])|V(\d+)([xy]))$")
 
 def parse_diagram(text: str) -> DiagramCode:
     """Parse a whitespace-separated token string into a validated code."""
+    return _parse_code(text, {})
+
+
+def _parse_code(text: str, tokens: Dict[str, Tuple[Pass, int]]) -> DiagramCode:
+    """parse_diagram, sharing one (Pass, sign) per distinct token through the
+    caller's ``tokens`` memo (sign 0 for virtual passes)."""
     passes: List[Pass] = []
     signs: Dict[int, int] = {}
     for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise DiagramError(f"bad pass token {tok!r}")
-        if m.group(1):
-            cid = int(m.group(2))
-            sign = 1 if m.group(3) == "+" else -1
-            if cid in signs and signs[cid] != sign:
-                raise DiagramError(f"sign mismatch at crossing {cid}")
-            signs[cid] = sign
-            passes.append(Pass(cid, m.group(1)))
-        else:
-            passes.append(Pass(int(m.group(4)), VIRTUAL, m.group(5) == "x"))
+        parsed = tokens.get(tok)
+        if parsed is None:
+            m = _TOKEN_RE.match(tok)
+            if not m:
+                raise DiagramError(f"bad pass token {tok!r}")
+            if m.group(1):
+                parsed = (Pass(int(m.group(2)), m.group(1)), 1 if m.group(3) == "+" else -1)
+            else:
+                parsed = (Pass(int(m.group(4)), VIRTUAL, m.group(5) == "x"), 0)
+            tokens[tok] = parsed
+        p, sign = parsed
+        if sign:
+            if signs.get(p.cid, sign) != sign:
+                raise DiagramError(f"sign mismatch at crossing {p.cid}")
+            signs[p.cid] = sign
+        passes.append(p)
     return DiagramCode(tuple(passes), signs)
 
 
@@ -162,6 +168,7 @@ def parse_vkd(text: str) -> List[Tuple[Optional[str], DiagramCode]]:
     ``code:`` lines.  Each ``code:`` line closes one diagram."""
     out: List[Tuple[Optional[str], DiagramCode]] = []
     pending: Optional[str] = None
+    tokens: Dict[str, Tuple[Pass, int]] = {}  # one Pass per distinct token
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -172,7 +179,7 @@ def parse_vkd(text: str) -> List[Tuple[Optional[str], DiagramCode]]:
             pending = line[5:].strip()
         elif line.startswith("code:"):
             try:
-                code = parse_diagram(line[5:])
+                code = _parse_code(line[5:], tokens)
             except DiagramError as exc:
                 raise DiagramError(f"line {lineno}: {exc}") from None
             out.append((pending, code))
@@ -205,18 +212,18 @@ def parity(code: DiagramCode) -> Dict[int, str]:
     depend on which of the two gaps is counted, because the total number
     of classical passes is even.
     """
-    positions: Dict[int, List[int]] = {}
-    for i, p in enumerate(code.passes):
-        if p.kind != VIRTUAL:
-            positions.setdefault(p.cid, []).append(i)
+    first: Dict[int, int] = {}  # cid -> index of its first classical pass
     out: Dict[int, str] = {}
-    for cid, (i, j) in positions.items():
-        count = sum(
-            1
-            for k in range(i + 1, j)
-            if code.passes[k].kind != VIRTUAL
-        )
-        out[cid] = ODD if count % 2 else EVEN
+    k = 0
+    for p in code.passes:
+        if p.kind == VIRTUAL:
+            continue
+        if p.cid in first:
+            out[p.cid] = ODD if (k - first[p.cid] - 1) % 2 else EVEN
+        else:
+            first[p.cid] = k
+            out[p.cid] = EVEN  # keeps first-appearance order; set on the second pass
+        k += 1
     return out
 
 

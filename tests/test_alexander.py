@@ -1,6 +1,7 @@
 """Relators, matrices, determinants, the invariant and its reports."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,14 @@ from paritypoly.alexander import (
     AlexanderMatrix, assign_roles, build_full_matrix_M, build_matrix_A,
     check_even_skein, check_symmetries, crossing_bounds, crossing_relators,
     determinant, determinant_cofactor, gcd_of_minors, group_presentation,
-    parity_alexander, poly_gcd, skein_matrices, switch_crossing,
+    fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
-from paritypoly.diagram import DiagramError, parse_diagram, random_code
+from paritypoly.diagram import DiagramError, parse_diagram, parse_vkd, random_code
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
+from paritypoly.realize import parse_gauss_file, realize
+from paritypoly.verify import enumerate_small_codes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 Q1 = LaurentPoly.var("q", -1)
 S1 = LaurentPoly.var("s", -1)
@@ -82,6 +87,41 @@ def test_virtual_row_templates():
     assert w_row == {4: Q, 1: LaurentPoly.const(-1)}
 
 
+def test_template_matrix_matches_fox_oracle():
+    codes = [code for name in ("corpus50.vkd", "triangle_moves.vkd")
+             for _name, code in parse_vkd((FIXTURES / name).read_text())]
+    codes += [realize(g) for _name, g in
+              parse_gauss_file((FIXTURES / "table_knots.gauss").read_text())]
+    codes += enumerate_small_codes()  # kinks and every 1-crossing flavour
+    codes.append(parse_diagram(""))
+    rng = random.Random(56)
+    codes += [random_code(rng, max_crossings=rng.choice([3, 6, 10]),
+                          p_virtual=rng.choice([0.0, 0.4, 0.8])) for _ in range(500)]
+    for code in codes:
+        assert build_matrix_A(code) == fox_matrix_A(code), code.to_text()
+
+
+def test_parity_alexander_makes_no_fox_derivative_calls(monkeypatch):
+    calls = []
+    fox = fx.fox_derivative
+    monkeypatch.setattr(fx, "fox_derivative", lambda w, g: calls.append(g) or fox(w, g))
+    code = parse_diagram("O1+ V2x O3- U1+ V2y U3- O4+ U4+")
+    fox_matrix_A(code)
+    assert calls  # the oracle path differentiates words
+    calls.clear()
+    parity_alexander(code)
+    assert calls == []
+
+
+def test_parity_alexander_equals_oracle_determinant():
+    rng = random.Random(57)
+    for _ in range(80):
+        code = random_code(rng, max_crossings=8)
+        res = parity_alexander(code)
+        canonical, unit = determinant(fox_matrix_A(code)).canonicalize()
+        assert (res.canonical, res.unit) == (canonical, unit), code.to_text()
+
+
 def test_relator_count_and_arc_degree():
     rng = random.Random(50)
     for _ in range(10):
@@ -144,6 +184,40 @@ def test_determinant_matches_cofactor_oracle():
         rows = [{j: v for j, v in r.items() if v} for r in rows]
         m = AlexanderMatrix(rows, list(range(n)), list(range(n)))
         assert determinant(m) == determinant_cofactor(m)
+
+
+def _sparse_entry(rng):
+    e = tuple(rng.randint(-1, 1) for _ in range(4))
+    if rng.random() < 0.6:  # a unit: +/- a monomial
+        return LaurentPoly({e: rng.choice([1, -1])})
+    return rng.choice([LaurentPoly.const(2), 1 - S * T, S + Q, 3 * T, H - 2]).shift(e)
+
+
+def test_determinant_exactly_matches_cofactor_on_sparse_matrices():
+    rng = random.Random(58)
+    singular = unit_free = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = []
+        for _i in range(n):
+            kind = rng.random()
+            if kind < 0.08 and rows:
+                # a monomial multiple of an earlier row: it empties during elimination
+                m = rng.choice([S, -T, Q * H, LaurentPoly.var("s", -1)])
+                rows.append({c: v * m for c, v in rng.choice(rows).items()})
+            elif kind < 0.1:
+                rows.append({})
+            else:
+                row = {j: _sparse_entry(rng) for j in range(n) if rng.random() < 0.6}
+                if kind < 0.3:  # no unit entry at all
+                    row = {j: v for j, v in row.items() if not v.is_unit_monomial()}
+                rows.append(row)
+        unit_free += any(r and not any(v.is_unit_monomial() for v in r.values()) for r in rows)
+        m = AlexanderMatrix(rows, list(range(n)), list(range(n)))
+        det = determinant(m)
+        assert det == determinant_cofactor(m), rows
+        singular += det.is_zero()
+    assert 60 < singular < 240 and unit_free > 60  # both kinds well represented
 
 
 def test_unknot_invariant_is_one():

@@ -122,3 +122,32 @@ def test_unknown_format(capsys, tmp_path):
     f.write_text("hi")
     rc, _out, err = run(capsys, "compute", f)
     assert rc == 1
+
+
+def test_batch_isolates_internal_errors(capsys, tmp_path, monkeypatch):
+    from paritypoly import cli
+    from paritypoly.realize import RealizationError, parse_gauss
+
+    bad = parse_gauss("O1-U1-")
+
+    def realize(g, *args, **kwargs):
+        if g == bad:
+            raise RealizationError("no routing for this code")
+        return real_realize(g, *args, **kwargs)
+
+    real_realize = cli.realize
+    table = tmp_path / "table.gauss"
+    table.write_text("good\tO1+U1+\nstuck\tO1-U1-\nsyntax\tO1+U2+\nalso\tO1+U1+\n")
+    rc_before, out_before, _ = run(capsys, "batch", table)
+    monkeypatch.setattr(cli, "realize", realize)
+    rc, out, _ = run(capsys, "batch", table)
+    assert rc == 2
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["name"] for r in recs] == ["good", "stuck", "syntax", "also"]
+    assert recs[1] == {"name": "stuck", "line": 2, "error": "no routing for this code"}
+    assert "error" in recs[2] and "polynomial" in recs[3]
+    # records of the lines that did not raise are unchanged
+    before = out_before.splitlines()
+    assert rc_before == 1 and "polynomial" in json.loads(before[1])
+    lines = out.splitlines()
+    assert [lines[0], lines[2], lines[3]] == [before[0], before[2], before[3]]

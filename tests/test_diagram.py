@@ -218,6 +218,15 @@ code: V1x V1y
     assert parse_vkd("code:")[0][1] == DiagramCode((), {})
 
 
+def test_vkd_shares_one_pass_per_token():
+    (_, a), (_, b), (_, c) = parse_vkd("code: O1+ U1+\ncode: U1- O1-\ncode: O1+ V2x U1+ V2y\n")
+    assert a.passes[0] is c.passes[0] and a.passes[1] is c.passes[2]
+    assert a.passes[0] == b.passes[1] and b.signs == {1: -1}
+    assert not hasattr(a, "__dict__") and not hasattr(a.passes[0], "__dict__")  # slotted
+    with pytest.raises(DiagramError, match="line 2: sign mismatch"):
+        parse_vkd("code: O1+ U1+\ncode: O1+ U1-\n")
+
+
 def test_random_code_valid():
     rng = random.Random(13)
     for _ in range(50):
