@@ -15,29 +15,22 @@ crossings this means: positive sign => x is the over-incoming arc,
 negative sign => x is the under-incoming arc.  For virtual crossings the
 frame bit marks the X pass directly.
 
-Relators by crossing class (z is the outgoing arc of the y strand, w of
-the x strand; every relator is stored as RHS * target^-1):
+Each crossing is "virtual", "odd", "even+" or "even-"; ``crossing_classes``
+is the one place that reads sign, parity and virtuality to decide it.  Per
+class, ``RELATOR_WORDS`` gives the crossing's two relators (z is the
+outgoing arc of the y strand, w of the x strand; each is stored as
+RHS * target^-1) and ``ROW_TEMPLATES`` their abelianized Fox derivatives,
+the crossing's two rows of A: -1 on the target arc plus monomial-weighted
+incoming arcs, entries on coinciding arcs adding.  The "smooth" rows of
+``ROW_TEMPLATES`` (z = x, w = y) belong to no class: they are the oriented
+smoothing of an even crossing, which only ``skein_matrices`` uses.
 
-    even positive:   z = x y s x^-1 s^-1      w = s x s^-1
-    even negative:   z = s^-1 y s             w = s^-1 y^-1 s x y
-    odd, any sign:   z = h^-1 y h             w = h x h^-1
-    virtual:         z = q^-1 y q             w = q x q^-1
-
-Their abelianized Fox derivatives are the row templates of A: each row is
--1 on its target arc plus monomial-weighted incoming arcs,
-
-    even positive:   z: (1 - st) x + t y      w: s x
-    even negative:   z: s^-1 y                w: t^-1 x + (1 - s^-1 t^-1) y
-    odd, any sign:   z: h^-1 y                w: h x
-    virtual:         z: q^-1 y                w: q x
-
-where entries on coinciding arcs add.
-
-Two paths build A.  ``build_matrix_A``, which ``parity_alexander`` uses,
-reads the rows straight off the templates.  The oracle path builds words
-(``crossing_relators``) and differentiates them (``fox_matrix_A``,
-``build_full_matrix_M``); the bordered matrix M, the presentation view and
-the tests use it, and the tests check that both paths give the same A.
+Two paths build A.  ``build_matrix_A``, which ``parity_alexander`` and
+``skein_matrices`` use, reads the rows straight off the templates.  The
+oracle path builds words (``crossing_relators``) and differentiates them
+(``fox_matrix_A``, ``build_full_matrix_M``); the bordered matrix M, the
+presentation view and the tests use it, and the tests check that both
+paths give the same A.
 """
 
 from __future__ import annotations
@@ -50,11 +43,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
-    EVEN, ODD, OVER, UNDER, VIRTUAL,
+    ODD, OVER, UNDER, VIRTUAL,
     DiagramCode, DiagramError, Pass, parity, semi_arcs,
     switch, flip, reverse, switched_flip,
 )
-from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc, gen_word, invert, multiply
+from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
 from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, InexactDivision, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
@@ -70,8 +63,6 @@ class CrossingRoles:
     y_in: int
     z_out: int
     w_out: int
-    x_pos: int  # pass position of the X strand
-    y_pos: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,7 @@ class AlexanderMatrix:
         return len(self.rows), len(self.cols)
 
 
-# -- roles and relators -------------------------------------------------------
+# -- roles and crossing classes -----------------------------------------------
 
 
 def assign_roles(code: DiagramCode) -> Dict[int, CrossingRoles]:
@@ -113,52 +104,58 @@ def assign_roles(code: DiagramCode) -> Dict[int, CrossingRoles]:
             y_in=arcs.incoming(y_pos),
             z_out=arcs.outgoing(y_pos),
             w_out=arcs.outgoing(x_pos),
-            x_pos=x_pos,
-            y_pos=y_pos,
         )
     return out
 
 
-def _conj(g: fx.Gen, inner: Word, inverse_first: bool) -> Word:
-    """g^-1 inner g when inverse_first else g inner g^-1."""
-    e = -1 if inverse_first else 1
-    return multiply(multiply(gen_word(g, e), inner), gen_word(g, -e))
+def crossing_classes(code: DiagramCode) -> Dict[int, str]:
+    """Crossing id -> "virtual", "odd", "even+" or "even-", the key into
+    RELATOR_WORDS and ROW_TEMPLATES."""
+    parities = parity(code)
+    classes: Dict[int, str] = {}
+    for cid in code.crossing_ids():
+        sign = code.signs.get(cid)
+        if sign is None:
+            classes[cid] = "virtual"
+        elif parities[cid] == ODD:
+            classes[cid] = ODD
+        else:
+            classes[cid] = "even+" if sign > 0 else "even-"
+    return classes
 
 
-def relator_pair(roles: CrossingRoles, crossing_class: str, sign: int) -> Tuple[Word, Word]:
+# -- relator words (the oracle path) ---------------------------------------------
+
+# crossing class -> (z, w) right-hand sides, in foxcalc.word_from_string
+# syntax with x and y standing for the incoming arcs of the two roles
+RELATOR_WORDS: Dict[str, Tuple[str, str]] = {
+    "even+": ("x y s x^-1 s^-1", "s x s^-1"),
+    "even-": ("s^-1 y s", "s^-1 y^-1 s x y"),
+    ODD: ("h^-1 y h", "h x h^-1"),
+    "virtual": ("q^-1 y q", "q x q^-1"),
+}
+# the same words parsed once, x and y read as the placeholder arcs a1 and a2
+_X, _Y = arc(1), arc(2)
+_RELATOR_LETTERS: Dict[str, Tuple[Word, ...]] = {
+    cls: tuple(fx.word_from_string(rhs.replace("x", "a1").replace("y", "a2")) for rhs in pair)
+    for cls, pair in RELATOR_WORDS.items()
+}
+
+
+def relator_pair(roles: CrossingRoles, crossing_class: str) -> Tuple[Word, Word]:
     """(z-relator, w-relator) for one crossing, as words RHS * target^-1."""
-    x = gen_word(arc(roles.x_in))
-    y = gen_word(arc(roles.y_in))
-    if crossing_class == "virtual":
-        rhs_z = _conj(Q_GEN, y, inverse_first=True)
-        rhs_w = _conj(Q_GEN, x, inverse_first=False)
-    elif crossing_class == ODD:
-        rhs_z = _conj(H_GEN, y, inverse_first=True)
-        rhs_w = _conj(H_GEN, x, inverse_first=False)
-    elif sign > 0:
-        # z = x y s x^-1 s^-1, w = s x s^-1
-        rhs_z = multiply(multiply(multiply(x, y), gen_word(S_GEN)),
-                         multiply(invert(x), gen_word(S_GEN, -1)))
-        rhs_w = _conj(S_GEN, x, inverse_first=False)
-    else:
-        # z = s^-1 y s, w = s^-1 y^-1 s x y
-        rhs_z = _conj(S_GEN, y, inverse_first=True)
-        rhs_w = multiply(multiply(gen_word(S_GEN, -1), invert(y)),
-                         multiply(multiply(gen_word(S_GEN), x), y))
-    r_z = multiply(rhs_z, invert(gen_word(arc(roles.z_out))))
-    r_w = multiply(rhs_w, invert(gen_word(arc(roles.w_out))))
-    return r_z, r_w
+    role_arcs = {_X: arc(roles.x_in), _Y: arc(roles.y_in)}
+    return tuple(  # type: ignore[return-value]
+        fx.reduce_word([(role_arcs.get(g, g), e) for g, e in rhs] + [(arc(target), -1)])
+        for rhs, target in zip(_RELATOR_LETTERS[crossing_class], (roles.z_out, roles.w_out)))
 
 
 def crossing_relators(code: DiagramCode) -> List[Relator]:
     """Two relators per crossing, crossings ordered by id, z before w."""
-    parities = parity(code)
-    roles = assign_roles(code)
-    virtual_ids = set(code.virtual_ids())
+    classes = crossing_classes(code)
     out: List[Relator] = []
-    for cid in sorted(roles):
-        cls = "virtual" if cid in virtual_ids else parities[cid]
-        r_z, r_w = relator_pair(roles[cid], cls, code.signs.get(cid, 0))
+    for cid, roles in sorted(assign_roles(code).items()):
+        r_z, r_w = relator_pair(roles, classes[cid])
         out.append(Relator(r_z, cid, "z"))
         out.append(Relator(r_w, cid, "w"))
     return out
@@ -185,75 +182,73 @@ def _word_row(word: Word, cols: Set[ColKey]) -> Dict[ColKey, LaurentPoly]:
     return row
 
 
+def _fox_matrix(code: DiagramCode, extra_cols: Tuple[ColKey, ...],
+                extra_rows: Tuple[Tuple[str, Word], ...]) -> AlexanderMatrix:
+    """Rows of the crossing relators, then of ``extra_rows``, over one column
+    per arc plus ``extra_cols``."""
+    cols: List[ColKey] = list(range(1, len(code.passes) + 1)) + list(extra_cols)
+    col_set = set(cols)
+    labeled = [((rel.cid, rel.rel_kind), rel.word) for rel in crossing_relators(code)]
+    labeled += [(("comm", name), word) for name, word in extra_rows]
+    return AlexanderMatrix([_word_row(word, col_set) for _label, word in labeled],
+                           [label for label, _word in labeled], cols)
+
+
 def fox_matrix_A(code: DiagramCode) -> AlexanderMatrix:
     """The oracle for build_matrix_A: the 2n x 2n matrix of arc-derivatives
     of the crossing relators."""
-    cols: List[ColKey] = list(range(1, len(code.passes) + 1))
-    col_set = set(cols)
-    rows, labels = [], []
-    for rel in crossing_relators(code):
-        rows.append(_word_row(rel.word, col_set))
-        labels.append((rel.cid, rel.rel_kind))
-    return AlexanderMatrix(rows, labels, cols)
+    return _fox_matrix(code, (), ())
 
 
 def build_full_matrix_M(code: DiagramCode) -> AlexanderMatrix:
     """(2n+3) x (2n+3) bordered matrix: A plus s/q/h columns plus the three
     commutator rows [0...0, 1-q, s-1, 0], [0...0, 1-h, 0, s-1],
     [0...0, 0, h-1, 1-q]."""
-    cols: List[ColKey] = list(range(1, len(code.passes) + 1)) + ["s", "q", "h"]
-    col_set = set(cols)
-    rows, labels = [], []
-    for rel in crossing_relators(code):
-        rows.append(_word_row(rel.word, col_set))
-        labels.append((rel.cid, rel.rel_kind))
-    for name, word in COMMUTATORS:
-        rows.append(_word_row(word, col_set))
-        labels.append(("comm", name))
-    return AlexanderMatrix(rows, labels, cols)
+    return _fox_matrix(code, ("s", "q", "h"), COMMUTATORS)
 
 
 # -- row templates (the production path) ----------------------------------------
 
-# crossing class -> (z row, w row), each the (incoming role, coefficient)
-# entries besides the -1 on the row's target arc
+# crossing class, or "smooth", -> (z row, w row), each the (incoming role,
+# coefficient) entries besides the -1 on the row's target arc
 ROW_TEMPLATES: Dict[str, Tuple[Tuple[Tuple[str, LaurentPoly], ...], ...]] = {
     "even+": ((("x", ONE - S * T), ("y", T)), (("x", S),)),
     "even-": ((("y", S1),), (("x", T1), ("y", ONE - S1 * T1))),
     ODD: ((("y", H1),), (("x", H),)),
     "virtual": ((("y", Q1),), (("x", Q),)),
+    "smooth": ((("x", ONE),), (("y", ONE),)),
 }
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
+def _template_rows(roles: CrossingRoles, template: str) -> List[Dict[ColKey, LaurentPoly]]:
+    """The z and w rows of one crossing under ROW_TEMPLATES[template]."""
+    incoming = {"x": roles.x_in, "y": roles.y_in}
+    rows = []
+    for target, entries in zip((roles.z_out, roles.w_out), ROW_TEMPLATES[template]):
+        row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
+        for role, coeff in entries:
+            col = incoming[role]
+            row[col] = row[col] + coeff if col in row else coeff
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
 def build_matrix_A(code: DiagramCode,
-                   parities: Optional[Dict[int, str]] = None) -> AlexanderMatrix:
+                   classes: Optional[Dict[int, str]] = None) -> AlexanderMatrix:
     """2n x 2n matrix A read off ROW_TEMPLATES: one column per arc, rows by
     ascending crossing id, z before w; entries on coinciding arcs add and
-    zero entries are dropped.  ``parities`` is ``parity(code)`` when the
-    caller has it.  fox_matrix_A builds the same matrix from Fox derivatives."""
-    if parities is None:
-        parities = parity(code)
-    cols: List[ColKey] = list(range(1, len(code.passes) + 1))
+    zero entries are dropped.  ``classes`` is ``crossing_classes(code)``
+    when the caller has it.  fox_matrix_A builds the same matrix from Fox
+    derivatives."""
+    if classes is None:
+        classes = crossing_classes(code)
     rows: List[Dict[ColKey, LaurentPoly]] = []
-    labels = []
+    labels: List[Tuple] = []
     for cid, roles in sorted(assign_roles(code).items()):
-        sign = code.signs.get(cid)
-        if sign is None:
-            cls = "virtual"
-        elif parities[cid] == ODD:
-            cls = ODD
-        else:
-            cls = "even+" if sign > 0 else "even-"
-        incoming = {"x": roles.x_in, "y": roles.y_in}
-        for kind, target, entries in zip("zw", (roles.z_out, roles.w_out), ROW_TEMPLATES[cls]):
-            row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
-            for role, coeff in entries:
-                col = incoming[role]
-                row[col] = row[col] + coeff if col in row else coeff
-            rows.append({c: v for c, v in row.items() if v})
-            labels.append((cid, kind))
-    return AlexanderMatrix(rows, labels, cols)
+        rows += _template_rows(roles, classes[cid])
+        labels += [(cid, "z"), (cid, "w")]
+    return AlexanderMatrix(rows, labels, list(range(1, len(code.passes) + 1)))
 
 
 # -- exact determinants --------------------------------------------------------
@@ -468,18 +463,19 @@ def parity_alexander(code: DiagramCode) -> InvariantResult:
     small-instance oracle gcd_of_minors.  The empty code has a 0x0 matrix
     and canonical invariant 1.
     """
-    par = parity(code)
-    det = determinant(build_matrix_A(code, par))
+    classes = crossing_classes(code)
+    det = determinant(build_matrix_A(code, classes))
     canonical, unit = det.canonicalize()
     zero = canonical.is_zero()
+    kinds = list(classes.values())
     return InvariantResult(
         canonical=canonical,
         unit=unit,
         q_width=None if zero else canonical.width("q"),
         h_width=None if zero else canonical.width("h"),
-        n_even=sum(1 for v in par.values() if v == EVEN),
-        n_odd=sum(1 for v in par.values() if v == ODD),
-        n_virtual=len(code.virtual_ids()),
+        n_even=kinds.count("even+") + kinds.count("even-"),
+        n_odd=kinds.count(ODD),
+        n_virtual=kinds.count("virtual"),
     )
 
 
@@ -552,9 +548,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if i is None:
         ca, cb = _int_content(a), _int_content(b)
         return LaurentPoly.const(math.gcd(ca, cb))
-    cont = poly_gcd(_content_in(a, i), _content_in(b, i))
-    a = a.exact_div(_content_in(a, i))
-    b = b.exact_div(_content_in(b, i))
+    content_a, content_b = _content_in(a, i), _content_in(b, i)
+    cont = poly_gcd(content_a, content_b)
+    a = a.exact_div(content_a)
+    b = b.exact_div(content_b)
     if _var_deg(a, i) < _var_deg(b, i):
         a, b = b, a
     while not b.is_zero():
@@ -577,14 +574,14 @@ def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, i: int) -> LaurentPoly:
     return r
 
 
-def gcd_of_minors(matrix: AlexanderMatrix, corank: int = 1) -> LaurentPoly:
-    """Canonical gcd of all minors of the given corank, by enumeration.
+def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
+    """Canonical gcd of all corank-1 minors, by enumeration.
 
     Brute force: intended for matrices of dimension <= 8 only.  The gcd of
     an all-zero (or empty) minor set is the zero polynomial.
     """
     n_rows, n_cols = matrix.size
-    k = min(n_rows, n_cols) - corank
+    k = min(n_rows, n_cols) - 1
     if max(n_rows, n_cols) > 8:
         raise ValueError("gcd_of_minors is a brute-force oracle; dimension > 8 refused")
     if k <= 0:
@@ -606,44 +603,23 @@ def gcd_of_minors(matrix: AlexanderMatrix, corank: int = 1) -> LaurentPoly:
 # -- skein triples ------------------------------------------------------------------
 
 
-def _selected_rows(roles: CrossingRoles, kind: str) -> List[Dict[ColKey, LaurentPoly]]:
-    """The two selected-crossing rows of the K+, K- or smoothed matrix,
-    under the shared column labeling (role arcs may coincide; entries add)."""
-    if kind == "plus":
-        z_word, w_word = relator_pair(roles, EVEN, 1)
-    elif kind == "minus":
-        z_word, w_word = relator_pair(roles, EVEN, -1)
-    elif kind == "smooth":
-        # oriented smoothing: each incoming continues on its own side
-        z_word = multiply(gen_word(arc(roles.x_in)), invert(gen_word(arc(roles.z_out))))
-        w_word = multiply(gen_word(arc(roles.y_in)), invert(gen_word(arc(roles.w_out))))
-    else:
-        raise ValueError(kind)
-    cols = {roles.x_in, roles.y_in, roles.z_out, roles.w_out}
-    return [_word_row(z_word, cols), _word_row(w_word, cols)]
-
-
 def skein_matrices(code: DiagramCode, crossing_id: int
                    ) -> Tuple[AlexanderMatrix, AlexanderMatrix, AlexanderMatrix]:
-    """(M_plus, M_minus, M_smooth): identical outside the two rows of the
-    selected crossing, which carry the positive / negative / smoothing
-    templates under one shared labeling."""
+    """(M_plus, M_minus, M_smooth): A with the two rows of the selected even
+    crossing read off the "even+", "even-" and "smooth" templates; the other
+    rows and the labeling are shared."""
     if crossing_id not in code.signs:
         raise DiagramError(f"crossing {crossing_id} is not classical")
-    parities = parity(code)
-    if parities[crossing_id] != EVEN:
+    classes = crossing_classes(code)
+    if classes[crossing_id] == ODD:
         raise DiagramError(f"crossing {crossing_id} is odd; use switch_crossing")
-    base = build_matrix_A(code, parities)
+    base = build_matrix_A(code, classes)
     roles = assign_roles(code)[crossing_id]
+    k = base.row_labels.index((crossing_id, "z"))
     out = []
-    for kind in ("plus", "minus", "smooth"):
-        rows = [dict(r) for r in base.rows]
-        z_row, w_row = _selected_rows(roles, kind)
-        for idx, lbl in enumerate(base.row_labels):
-            if lbl == (crossing_id, "z"):
-                rows[idx] = z_row
-            elif lbl == (crossing_id, "w"):
-                rows[idx] = w_row
+    for template in ("even+", "even-", "smooth"):
+        rows = list(base.rows)
+        rows[k:k + 2] = _template_rows(roles, template)
         out.append(AlexanderMatrix(rows, list(base.row_labels), list(base.cols)))
     return tuple(out)  # type: ignore[return-value]
 
@@ -654,24 +630,21 @@ class SkeinReport:
     d_plus: LaurentPoly
     d_minus: LaurentPoly
     d_smooth: LaurentPoly
-    theorem_form_holds: bool   # D+ -    D- == (1-st) Dv
     proof_form_holds: bool     # D+ - st D- == (1-st) Dv
 
 
 def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
-    """Evaluate both candidate skein identities exactly (no unit
+    """Evaluate the skein identity D+ - st D- = (1-st) Dv exactly (no unit
     normalization; the shared labeling makes the determinants comparable)."""
     m_plus, m_minus, m_smooth = skein_matrices(code, crossing_id)
     dp = determinant(m_plus)
     dm = determinant(m_minus)
     dv = determinant(m_smooth)
     st = LaurentPoly.var("s") * LaurentPoly.var("t")
-    rhs = (LaurentPoly.one() - st) * dv
     return SkeinReport(
         crossing_id=crossing_id,
         d_plus=dp, d_minus=dm, d_smooth=dv,
-        theorem_form_holds=(dp - dm == rhs),
-        proof_form_holds=(dp - st * dm == rhs),
+        proof_form_holds=(dp - st * dm == (LaurentPoly.one() - st) * dv),
     )
 
 

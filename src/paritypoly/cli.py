@@ -21,12 +21,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .alexander import InternalArithmeticError, crossing_bounds, group_presentation, parity_alexander
 from .diagram import DiagramCode, DiagramError, parse_vkd
 from .laurent import InexactDivision
-from .realize import GaussError, RealizationError, parse_gauss, parse_gauss_file, realize
+from .realize import (
+    GaussError, RealizationError, gauss_lines, parse_gauss, parse_gauss_file, realize,
+)
 from .verify import SUITES, run_suite
 
 Named = Tuple[str, DiagramCode]
@@ -65,33 +67,31 @@ def _record(name: str, code: DiagramCode) -> dict:
     }
 
 
-def cmd_compute(args) -> int:
-    diagrams = load_paths(args.paths)
-    for name, code in diagrams:
+def _print_records(args, text_line: Callable[[dict], str]) -> int:
+    """One record per diagram, as JSON with --json, else as text_line(record)."""
+    for name, code in load_paths(args.paths):
         rec = _record(name, code)
-        if args.json:
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(f"{name}: {rec['polynomial']['text']}")
+        print(json.dumps(rec, sort_keys=True) if args.json else text_line(rec))
     return 0
+
+
+def cmd_compute(args) -> int:
+    return _print_records(args, lambda rec: f"{rec['name']}: {rec['polynomial']['text']}")
 
 
 def _fmt_width(w: Optional[int]) -> str:
     return "no information" if w is None else str(w)
 
 
+def _bounds_line(rec: dict) -> str:
+    w, b = rec["widths"], rec["bounds"]
+    return (f"{rec['name']}: q-width {_fmt_width(w['q'])}, h-width {_fmt_width(w['h'])}, "
+            f"virtual >= {_fmt_width(b['virtual_at_least'])}, "
+            f"odd >= {_fmt_width(b['odd_at_least'])}")
+
+
 def cmd_bounds(args) -> int:
-    diagrams = load_paths(args.paths)
-    for name, code in diagrams:
-        rec = _record(name, code)
-        if args.json:
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            w, b = rec["widths"], rec["bounds"]
-            print(f"{name}: q-width {_fmt_width(w['q'])}, h-width {_fmt_width(w['h'])}, "
-                  f"virtual >= {_fmt_width(b['virtual_at_least'])}, "
-                  f"odd >= {_fmt_width(b['odd_at_least'])}")
-    return 0
+    return _print_records(args, _bounds_line)
 
 
 def cmd_verify(args) -> int:
@@ -124,16 +124,9 @@ def cmd_batch(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     failed = internal = False
     try:
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name = f"{path.stem}[{lineno}]"
+        for lineno, name, body in gauss_lines(path.read_text(encoding="utf-8")):
+            name = name or f"{path.stem}[{lineno}]"
             try:
-                body = line
-                if "\t" in line:
-                    name, body = line.split("\t", 1)
-                    name = name.strip()
                 code = realize(parse_gauss(body))
                 rec = _record(name, code)
             except (DiagramError, GaussError) as exc:

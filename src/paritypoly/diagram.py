@@ -362,7 +362,7 @@ def same_up_to_shift_relabel(a: DiagramCode, b: DiagramCode) -> bool:
 #   ("v2_remove", cid1, cid2)
 # Arc indices follow the semi-arc labeling of the code the move applies to.
 
-_R2_VARIANTS = {p + o + s for p in "pa" for o in "ou" for s in "+-"}
+R2_VARIANTS = tuple(p + o + s for p in "pa" for o in "ou" for s in "+-")
 
 
 def _fresh_ids(code: DiagramCode, k: int) -> List[int]:
@@ -450,7 +450,7 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
 
     if kind == "r2_insert":
         _, arc1, arc2, variant = move
-        if variant not in _R2_VARIANTS:
+        if variant not in R2_VARIANTS:
             raise MoveError(f"bad r2_insert variant {variant!r}")
         parallel = variant[0] == "p"
         first_over = variant[1] == "o"
@@ -544,13 +544,12 @@ def removal_sites(code: DiagramCode) -> List[Tuple]:
 # -- random codes (seeded test/verify input) -------------------------------------
 
 
-def random_code(rng, max_crossings: int = 6, min_crossings: int = 1,
-                p_virtual: float = 0.4) -> DiagramCode:
+def random_code(rng, max_crossings: int = 6, p_virtual: float = 0.4) -> DiagramCode:
     """Uniform random pairing of 2n slots with random decorations.
 
     Valid by construction; used by the randomized verification suites.
     """
-    n = rng.randint(min_crossings, max_crossings)
+    n = rng.randint(1, max_crossings)
     order = list(range(2 * n))
     rng.shuffle(order)
     passes: List[Optional[Pass]] = [None] * (2 * n)

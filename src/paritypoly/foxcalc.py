@@ -34,12 +34,6 @@ def arc(i: int) -> Gen:
     return ("a", i)
 
 
-def gen_word(g: Gen, exp: int = 1) -> Word:
-    if exp not in (1, -1):
-        raise ValueError("letter exponent must be +1 or -1")
-    return ((g, exp),)
-
-
 def reduce_word(letters: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence (cancel adjacent g^e g^-e pairs)."""
     stack: List[Letter] = []
@@ -66,7 +60,8 @@ def invert(u: Word) -> Word:
 
 
 def word_from_string(text: str) -> Word:
-    """Parse debug syntax, e.g. "a3 s a3^-1 h^-1"; used by tests only."""
+    """Parse debug syntax, e.g. "a3 s a3^-1 h^-1"; the relator table of
+    :mod:`paritypoly.alexander` and the tests are written in it."""
     letters: List[Letter] = []
     for tok in text.split():
         exp = 1
@@ -161,31 +156,20 @@ def standard_image(g: Gen) -> LaurentPoly:
     return LaurentPoly({e: 1})
 
 
-def abelianize_word(w: Word, assignment=None) -> LaurentPoly:
-    """Image of a word under the (necessarily monomial) assignment."""
-    if assignment is None:
-        e = [0, 0, 0, 0]
-        for (kind, _idx), exp in w:
-            img = _STANDARD_IMAGES[kind]
-            for i in range(4):
-                e[i] += exp * img[i]
-        return LaurentPoly({tuple(e): 1})
-    result = LaurentPoly.one()
-    for (g, exp) in w:
-        img = assignment(g)
-        if not img.is_unit_monomial():
-            raise ValueError("abelianization images must be +/- monomials")
-        ((ie,), (ic,)) = zip(*img.terms.items())
-        if exp == -1:
-            img = LaurentPoly({tuple(-x for x in ie): ic})
-        result = result * img
-    return result
+def abelianize_word(w: Word) -> LaurentPoly:
+    """Image of a word: arcs to t, and s, q, h to themselves."""
+    e = [0, 0, 0, 0]
+    for (kind, _idx), exp in w:
+        img = _STANDARD_IMAGES[kind]
+        for i in range(4):
+            e[i] += exp * img[i]
+    return LaurentPoly({tuple(e): 1})
 
 
-def abelianize(elem: RingElem, assignment=None) -> LaurentPoly:
+def abelianize(elem: RingElem) -> LaurentPoly:
     out = LaurentPoly.zero()
     for w, c in elem.items():
-        out = out + abelianize_word(w, assignment) * c
+        out = out + abelianize_word(w) * c
     return out
 
 

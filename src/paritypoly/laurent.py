@@ -152,9 +152,6 @@ class LaurentPoly:
 
     # -- unit content and canonical form ---------------------------------
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def is_unit_monomial(self) -> bool:
         """True iff the polynomial is +/- a single monomial with coefficient 1."""
         if len(self.terms) != 1:

@@ -19,7 +19,7 @@ stay), realization fails loudly rather than mis-setting a frame bit.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (
     EMPTY_CODE, OVER, UNDER, VIRTUAL, DiagramCode, Pass, classical_gauss_code,
@@ -73,9 +73,10 @@ def gauss_to_text(g: SignedGaussCode) -> str:
     return "".join(f"{kind}{cid}{'+' if sign > 0 else '-'}" for cid, kind, sign in g)
 
 
-def parse_gauss_file(text: str) -> List[Tuple[Optional[str], SignedGaussCode]]:
-    """One code per line, ``name<TAB>code`` or bare code; # comments allowed."""
-    out: List[Tuple[Optional[str], SignedGaussCode]] = []
+def gauss_lines(text: str) -> Iterator[Tuple[int, Optional[str], str]]:
+    """(line number, name or None, code text) for each code line of a
+    ``.gauss`` table: ``name<TAB>code`` or bare code; blank lines and
+    # comments are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,6 +85,13 @@ def parse_gauss_file(text: str) -> List[Tuple[Optional[str], SignedGaussCode]]:
         if "\t" in line:
             name, line = line.split("\t", 1)
             name = name.strip()
+        yield lineno, name, line
+
+
+def parse_gauss_file(text: str) -> List[Tuple[Optional[str], SignedGaussCode]]:
+    """One code per line, as split by gauss_lines."""
+    out: List[Tuple[Optional[str], SignedGaussCode]] = []
+    for lineno, name, line in gauss_lines(text):
         try:
             out.append((name, parse_gauss(line)))
         except GaussError as exc:

@@ -179,27 +179,20 @@ def test_criterion_06_odd_switch():
 
 
 def test_criterion_07_even_skein_identity():
-    theorem_all = proof_all = True
     n_sites = 0
+    failures = []
     for name, code in corpus():
         par = parity(code)
         for cid in sorted(code.signs):
             if par[cid] != EVEN:
                 continue
-            rep = check_even_skein(code, cid)
             n_sites += 1
-            theorem_all &= rep.theorem_form_holds
-            proof_all &= rep.proof_form_holds
-            assert rep.theorem_form_holds or rep.proof_form_holds, (name, cid)
-    ok = theorem_all or proof_all
-    which = []
-    if theorem_all:
-        which.append("D+ - D- = (1-st) Dv")
-    if proof_all:
-        which.append("D+ - st D- = (1-st) Dv")
-    verdict(7, "even skein identity holds uniformly", ok,
-            f"{n_sites} sites; uniform: {', '.join(which) if which else 'none'}")
-    assert ok
+            if not check_even_skein(code, cid).proof_form_holds:
+                failures.append(f"{name}/crossing {cid}")
+    ok = n_sites > 0 and not failures
+    verdict(7, "even skein identity D+ - st D- = (1-st) Dv at every even site", ok,
+            f"{n_sites} sites" + (f"; failures {failures}" if failures else ""))
+    assert ok, failures
 
 
 def test_criterion_08_symmetry_theorem():

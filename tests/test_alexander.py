@@ -8,7 +8,7 @@ import pytest
 from paritypoly import foxcalc as fx
 from paritypoly.alexander import (
     AlexanderMatrix, assign_roles, build_full_matrix_M, build_matrix_A,
-    check_even_skein, check_symmetries, crossing_bounds, crossing_relators,
+    check_even_skein, check_symmetries, crossing_bounds, crossing_classes, crossing_relators,
     determinant, determinant_cofactor, gcd_of_minors, group_presentation,
     fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
@@ -42,6 +42,13 @@ def test_assign_roles_negative():
     # negative: x enters at the under pass
     assert roles[1].x_in == 2 and roles[1].w_out == 3
     assert roles[1].y_in == 4 and roles[1].z_out == 1
+
+
+def test_crossing_classes():
+    # 1 and 3 each enclose one classical pass; 4 and 5 are kinks
+    code = parse_diagram("O1+ V2x O3- U1+ V2y U3- O4+ U4+ O5- U5-")
+    assert crossing_classes(code) == {
+        1: "odd", 2: "virtual", 3: "odd", 4: "even+", 5: "even-"}
 
 
 def row_map(matrix, label):
@@ -271,13 +278,13 @@ def test_poly_gcd():
 
 def test_gcd_of_minors_zero_matrix():
     m = AlexanderMatrix([{}, {}], ["a", "b"], [0, 1])
-    assert gcd_of_minors(m, corank=1) == ZERO
+    assert gcd_of_minors(m) == ZERO
 
 
 def test_gcd_of_minors_rejects_large():
     rows = [{j: ONE for j in range(9)} for _ in range(9)]
     with pytest.raises(ValueError):
-        gcd_of_minors(AlexanderMatrix(rows, list(range(9)), list(range(9))), 1)
+        gcd_of_minors(AlexanderMatrix(rows, list(range(9)), list(range(9))))
 
 
 def test_prop1_on_samples():
@@ -285,7 +292,7 @@ def test_prop1_on_samples():
                  "V1x O2- V1y U2-"):
         code = parse_diagram(text)
         det_a = determinant(build_matrix_A(code))
-        g = gcd_of_minors(build_full_matrix_M(code), corank=1)
+        g = gcd_of_minors(build_full_matrix_M(code))
         assert g.equal_up_to_unit(det_a), text
 
 
@@ -303,6 +310,43 @@ def test_skein_matrices_templates():
     for lbl in plus.row_labels:
         if lbl[0] != 2:
             assert row_map(plus, lbl) == row_map(minus, lbl) == row_map(smooth, lbl)
+
+
+def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
+    # K+ and K- are A of the code and of the code switched at the site, row
+    # for row; Kv differs from A only in the site's two smoothing rows
+    rng = random.Random(58)
+    sites = 0
+    for _ in range(150):
+        code = random_code(rng, max_crossings=rng.choice([3, 6, 9]),
+                           p_virtual=rng.choice([0.0, 0.4]))
+        A = build_matrix_A(code)
+        for cid, cls in crossing_classes(code).items():
+            if cls not in ("even+", "even-"):
+                continue
+            sites += 1
+            plus, minus, smooth = skein_matrices(code, cid)
+            switched = build_matrix_A(switch_crossing(code, cid))
+            assert (plus, minus) == ((A, switched) if cls == "even+" else (switched, A))
+            r = assign_roles(code)[cid]
+            z_row = {r.z_out: LaurentPoly.const(-1)}
+            z_row[r.x_in] = z_row.get(r.x_in, ZERO) + ONE
+            w_row = {r.w_out: LaurentPoly.const(-1)}
+            w_row[r.y_in] = w_row.get(r.y_in, ZERO) + ONE
+            expected = list(A.rows)
+            k = A.row_labels.index((cid, "z"))
+            expected[k:k + 2] = [{c: v for c, v in row.items() if v} for row in (z_row, w_row)]
+            assert smooth == AlexanderMatrix(expected, A.row_labels, A.cols)
+    assert sites > 200
+
+
+def test_skein_matrices_make_no_fox_derivative_calls(monkeypatch):
+    calls = []
+    fox = fx.fox_derivative
+    monkeypatch.setattr(fx, "fox_derivative", lambda w, g: calls.append(g) or fox(w, g))
+    code = parse_diagram("O1+ V2x O3- U1+ V2y U3- O4+ U4+")
+    check_even_skein(code, 4)
+    assert calls == []
 
 
 def test_skein_rejects_bad_sites():
