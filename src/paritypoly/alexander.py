@@ -31,6 +31,10 @@ oracle path builds words (``crossing_relators``) and differentiates them
 (``fox_matrix_A``, ``build_full_matrix_M``); the bordered matrix M, the
 presentation view and the tests use it, and the tests check that both
 paths give the same A.
+
+``determinant`` divides nowhere: it pivots on the +/- monomial entries
+(unit pivots), then expands the small unit-free core that is left by a
+memoized Laplace expansion.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ from .diagram import (
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
-from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, InexactDivision, LaurentPoly
+from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
 
 class InternalArithmeticError(ArithmeticError):
-    """An exactness invariant broke inside elimination; always a bug."""
+    """An exactness invariant broke inside the arithmetic; always a bug."""
 
 
 @dataclass(frozen=True)
@@ -280,11 +284,11 @@ def _permutation_sign(perm: List[int]) -> int:
     return sign
 
 
-def _det_units_then_bareiss(rows: List[Dict[ColKey, LaurentPoly]],
+def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
                             cols: List[ColKey]) -> LaurentPoly:
     """Exact determinant: pivot on +/- monomial entries while any exist
-    (cheap row operations, most relator rows have one), then finish the
-    unit-free core with fraction-free Bareiss elimination.
+    (cheap row operations, most relator rows have one), then expand the
+    unit-free core with the division-free ``_laplace``.
 
     Each unit pivot is taken in the sparsest live row that has one, at its
     unit entry of lowest column position.  Rows wait in a heap of (length,
@@ -348,69 +352,54 @@ def _det_units_then_bareiss(rows: List[Dict[ColKey, LaurentPoly]],
                     holders[c].discard(k)
             heapq.heappush(heap, (len(other), k))
 
-    core = LaurentPoly.one()
-    if len(match) < len(work):
-        core_rows = [i for i in range(len(work)) if i not in match]
-        taken = set(match.values())
-        core_cols = [c for c in cols if position[c] not in taken]
-        for i, c in zip(core_rows, core_cols):
-            match[i] = position[c]
-        zero = LaurentPoly.zero()
-        core = _bareiss([[work[i].get(c, zero) for c in core_cols] for i in core_rows])
+    core_rows = [i for i in range(len(work)) if i not in match]
+    taken = set(match.values())
+    core_cols = [c for c in cols if position[c] not in taken]
+    for i, c in zip(core_rows, core_cols):
+        match[i] = position[c]
+    core = _laplace([[work[i].get(c) for c in core_cols] for i in core_rows])
     sign = unit_sign * _permutation_sign([match[i] for i in range(len(work))])
     return core.shift(tuple(map(sum, zip(*pivots))), sign)
 
 
-def _bareiss(m: List[List[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free Bareiss determinant; every division is exact or it
-    raises InternalArithmeticError.  Row monomial content is factored out
-    first so the elimination runs over plain polynomials."""
-    n = len(m)
-    if n == 0:
-        return LaurentPoly.one()
-    content = LaurentPoly.one()
-    work: List[List[LaurentPoly]] = []
-    for row in m:
-        mins = [e.min_exps() for e in row if e]
-        if not mins:
-            return LaurentPoly.zero()
-        shift = tuple(min(v[i] for v in mins) for i in range(4))
-        content = content * LaurentPoly({shift: 1})
-        neg = tuple(-x for x in shift)
-        work.append([e.shift(neg) if e else e for e in row])
+def _laplace(m: List[List[Optional[LaurentPoly]]]) -> LaurentPoly:
+    """Division-free determinant of a square matrix (None for a zero entry)
+    by Laplace expansion from the bottom row up.
 
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if not work[k][k]:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * work[i][j] - work[i][k] * work[k][j]
-                try:
-                    work[i][j] = num.exact_div(prev) if prev != 1 else num
-                except InexactDivision as exc:
-                    raise InternalArithmeticError(
-                        f"Bareiss division failed at step {k}: {exc}") from exc
-            work[i][k] = LaurentPoly.zero()
-        prev = pivot
-    det = work[n - 1][n - 1]
-    return content * (det if sign > 0 else -det)
+    After the rows i..k-1 are taken, ``minors`` maps each set of k-i
+    columns, as a bitmask, to the determinant of those rows on those
+    columns, so each minor is computed once; a dense k x k matrix costs
+    k * 2^(k-1) entry-by-minor products."""
+    minors: Dict[int, LaurentPoly] = {0: LaurentPoly.one()}
+    for row in reversed(m):
+        entries = [(1 << j, v) for j, v in enumerate(row) if v]
+        grown: Dict[int, Dict] = {}
+        for mask, minor in minors.items():
+            for bit, v in entries:
+                if mask & bit:
+                    continue
+                # the entry's sign in the larger minor: -1 per column left of it
+                sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+                acc = grown.setdefault(mask | bit, {})
+                for e, c in _times(v, minor).terms.items():
+                    acc[e] = acc.get(e, 0) + sign * c
+        minors = {}
+        for mask, acc in grown.items():
+            terms = {e: c for e, c in acc.items() if c}
+            if terms:
+                minors[mask] = LaurentPoly(terms)
+        if not minors:
+            return LaurentPoly.zero()
+    return minors[(1 << len(m)) - 1]
 
 
 def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
-    """Exact determinant; the 0x0 matrix has determinant 1."""
+    """Exact determinant, division-free: unit pivots, then a Laplace
+    expansion of the unit-free core.  The 0x0 matrix has determinant 1."""
     n_rows, n_cols = matrix.size
     if n_rows != n_cols:
         raise ValueError(f"matrix is {n_rows}x{n_cols}, not square")
-    return _det_units_then_bareiss(matrix.rows, matrix.cols)
+    return _det_units_then_laplace(matrix.rows, matrix.cols)
 
 
 def determinant_cofactor(matrix: AlexanderMatrix) -> LaurentPoly:

@@ -27,7 +27,7 @@ from .alexander import InternalArithmeticError, crossing_bounds, group_presentat
 from .diagram import DiagramCode, DiagramError, parse_vkd
 from .laurent import InexactDivision
 from .realize import (
-    GaussError, RealizationError, gauss_lines, parse_gauss, parse_gauss_file, realize,
+    GaussError, RealizationError, gauss_lines, parse_gauss, parse_gauss_line, realize,
 )
 from .verify import SUITES, run_suite
 
@@ -35,17 +35,18 @@ Named = Tuple[str, DiagramCode]
 
 
 def load_path(path: Path) -> List[Named]:
+    """Named codes of one file; an unnamed code is named by its index among
+    the file's codes (.vkd) or by its line number (.gauss, as in batch)."""
     text = path.read_text(encoding="utf-8")
-    out: List[Named] = []
     if path.suffix == ".vkd":
-        for i, (name, code) in enumerate(parse_vkd(text)):
-            out.append((name or f"{path.stem}[{i}]", code))
-    elif path.suffix == ".gauss":
-        for i, (name, g) in enumerate(parse_gauss_file(text)):
-            out.append((name or f"{path.stem}[{i}]", realize(g)))
-    else:
-        raise DiagramError(f"{path}: unknown input format (want .vkd or .gauss)")
-    return out
+        return [(name or f"{path.stem}[{i}]", code)
+                for i, (name, code) in enumerate(parse_vkd(text))]
+    if path.suffix == ".gauss":
+        # every line is parsed before any is realized
+        parsed = [(name or f"{path.stem}[{lineno}]", parse_gauss_line(lineno, body))
+                  for lineno, name, body in gauss_lines(text)]
+        return [(name, realize(g)) for name, g in parsed]
+    raise DiagramError(f"{path}: unknown input format (want .vkd or .gauss)")
 
 
 def load_paths(paths: List[str]) -> List[Named]:

@@ -545,11 +545,14 @@ def removal_sites(code: DiagramCode) -> List[Tuple]:
 
 
 def random_code(rng, max_crossings: int = 6, p_virtual: float = 0.4) -> DiagramCode:
-    """Uniform random pairing of 2n slots with random decorations.
+    """random_code_of_size with n drawn uniformly from 1..max_crossings;
+    used by the randomized verification suites."""
+    return random_code_of_size(rng, rng.randint(1, max_crossings), p_virtual)
 
-    Valid by construction; used by the randomized verification suites.
-    """
-    n = rng.randint(1, max_crossings)
+
+def random_code_of_size(rng, n: int, p_virtual: float = 0.4) -> DiagramCode:
+    """Uniform random pairing of 2n slots with random decorations; valid by
+    construction."""
     order = list(range(2 * n))
     rng.shuffle(order)
     passes: List[Optional[Pass]] = [None] * (2 * n)

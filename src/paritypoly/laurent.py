@@ -231,8 +231,7 @@ class LaurentPoly:
         Both operands are first normalized by their unit content (the signed
         monomial factor), the plain-polynomial parts are divided with an
         exactness check at every reduction step, and the quotient's unit is
-        restored.  Raises InexactDivision when no quotient exists; in the
-        elimination code that always signals a bug, never bad input.
+        restored.  Raises InexactDivision when no quotient exists.
         """
         divisor = self._coerce(divisor)
         if not divisor.terms:

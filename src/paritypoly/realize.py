@@ -88,15 +88,17 @@ def gauss_lines(text: str) -> Iterator[Tuple[int, Optional[str], str]]:
         yield lineno, name, line
 
 
+def parse_gauss_line(lineno: int, line: str) -> SignedGaussCode:
+    """parse_gauss, its error prefixed with the line number."""
+    try:
+        return parse_gauss(line)
+    except GaussError as exc:
+        raise GaussError(f"line {lineno}: {exc}") from None
+
+
 def parse_gauss_file(text: str) -> List[Tuple[Optional[str], SignedGaussCode]]:
     """One code per line, as split by gauss_lines."""
-    out: List[Tuple[Optional[str], SignedGaussCode]] = []
-    for lineno, name, line in gauss_lines(text):
-        try:
-            out.append((name, parse_gauss(line)))
-        except GaussError as exc:
-            raise GaussError(f"line {lineno}: {exc}") from None
-    return out
+    return [(name, parse_gauss_line(lineno, line)) for lineno, name, line in gauss_lines(text)]
 
 
 def frame_sign(dir_a: Tuple[int, int], dir_b: Tuple[int, int]) -> int:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from paritypoly import alexander as ax
 from paritypoly import foxcalc as fx
 from paritypoly.alexander import (
     AlexanderMatrix, assign_roles, build_full_matrix_M, build_matrix_A,
@@ -12,7 +13,9 @@ from paritypoly.alexander import (
     determinant, determinant_cofactor, gcd_of_minors, group_presentation,
     fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
-from paritypoly.diagram import DiagramError, parse_diagram, parse_vkd, random_code
+from paritypoly.diagram import (
+    DiagramError, parse_diagram, parse_vkd, random_code, random_code_of_size,
+)
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
 from paritypoly.realize import parse_gauss_file, realize
 from paritypoly.verify import enumerate_small_codes
@@ -225,6 +228,124 @@ def test_determinant_exactly_matches_cofactor_on_sparse_matrices():
         assert det == determinant_cofactor(m), rows
         singular += det.is_zero()
     assert 60 < singular < 240 and unit_free > 60  # both kinds well represented
+
+
+def _record_core_sizes(monkeypatch):
+    """Patch the core expansion to log the size of every core it gets."""
+    sizes = []
+    laplace = ax._laplace
+    monkeypatch.setattr(ax, "_laplace", lambda m: sizes.append(len(m)) or laplace(m))
+    return sizes
+
+
+def test_parity_alexander_makes_no_exact_div_calls(monkeypatch):
+    calls = []
+    exact_div = LaurentPoly.exact_div
+    monkeypatch.setattr(LaurentPoly, "exact_div",
+                        lambda a, b: calls.append(b) or exact_div(a, b))
+    poly_gcd((S - 1) * (1 - Q), (S - 1) * (1 - H))
+    assert calls  # the counter sees the gcd oracle divide
+    calls.clear()
+    sizes = _record_core_sizes(monkeypatch)
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    codes += [random_code_of_size(random.Random(seed), 60) for seed in (1, 3, 4, 5)]
+    for code in codes:
+        parity_alexander(code)
+    assert calls == []
+    assert sorted(sizes)[-4:] == [3, 3, 3, 4]  # the dense codes leave 3x3 and 4x4 cores
+
+
+def _unit_free_entry(rng):
+    if rng.random() < 0.3:
+        return None
+    e = tuple(rng.randint(-1, 1) for _ in range(4))
+    c = rng.choice([2, -3, 1 - S * T, S + Q, 2 * T - H, 1 + Q * H + S1, H - 2 * S])
+    return (ONE * c).shift(e)
+
+
+def test_determinant_matches_sympy_berkowitz():
+    """Against sympy's division-free Berkowitz algorithm over Z[s, t, q, h]
+    (DomainMatrix.charpoly: Matrix.det(method="berkowitz") on expression
+    entries is the same algorithm, but expanding its nested result takes
+    seconds from 6x6 on)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.ZZ[sympy.symbols("s t q h")]
+    rng = random.Random(59)
+    for n in [1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5]:
+        grid = [[_unit_free_entry(rng) for _j in range(n)] for _i in range(n)]
+        m = AlexanderMatrix([{j: v for j, v in enumerate(row) if v} for row in grid],
+                            list(range(n)), list(range(n)))
+        # shift every entry by one monomial so that sympy sees polynomials
+        shift = tuple(-min([0] + [e[i] for r in m.rows for v in r.values() for e in v.terms])
+                      for i in range(4))
+        dm = DomainMatrix([[ring.ring({tuple(k + d for k, d in zip(e, shift)): c
+                                       for e, c in v.terms.items()}) if v else ring.zero
+                            for v in row] for row in grid], (n, n), ring)
+        det = (-1) ** n * dm.charpoly()[-1]  # charpoly(x) = det(x - M)
+        want = LaurentPoly({tuple(e): int(c) for e, c in det.items()})
+        assert determinant(m).shift(tuple(n * d for d in shift)) == want, grid
+
+
+P61 = 2 ** 61 - 1
+
+
+def _mod_value(p, point):
+    """p at point, mod P61."""
+    total = 0
+    for e, c in p.terms.items():
+        term = c
+        for x, k in zip(point, e):
+            term = term * pow(x, k, P61) % P61
+        total += term
+    return total % P61
+
+
+def _mod_det(rows, cols, point):
+    """det of the matrix at point, mod P61, by sparse Gaussian elimination."""
+    work = [{c: _mod_value(v, point) for c, v in row.items()} for row in rows]
+    work = {i: {c: v for c, v in row.items() if v} for i, row in enumerate(work)}
+    position = {c: j for j, c in enumerate(cols)}
+    det, match = 1, {}  # row -> column position
+    while work:
+        i = min(work, key=lambda k: len(work[k]))
+        row = work.pop(i)
+        if not row:
+            return 0
+        col = min(row, key=position.get)
+        match[i] = position[col]
+        pivot = row[col]
+        det = det * pivot % P61
+        inverse = pow(pivot, -1, P61)
+        for other in work.values():
+            factor = other.get(col)
+            if factor is None:
+                continue
+            factor = factor * inverse % P61
+            for c, v in row.items():
+                new = (other.get(c, 0) - factor * v) % P61
+                if new:
+                    other[c] = new
+                else:
+                    other.pop(c, None)
+    order = [match[i] for i in range(len(rows))]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return det if inversions % 2 == 0 else -det % P61
+
+
+def test_invariant_matches_modular_det_on_large_codes(monkeypatch):
+    sizes = _record_core_sizes(monkeypatch)
+    rng = random.Random(60)
+    for n, seed in ((60, 1), (60, 2), (80, 1), (80, 2)):
+        code = random_code_of_size(random.Random(seed), n)
+        assert len(code.crossing_ids()) == n
+        res = parity_alexander(code)
+        point = [rng.randrange(2, P61) for _ in range(4)]
+        matrix = build_matrix_A(code)
+        assert (_mod_value(res.canonical * res.unit, point)
+                == _mod_det(matrix.rows, matrix.cols, point)), (n, seed)
+    assert max(sizes) >= 5
 
 
 def test_unknot_invariant_is_one():

@@ -151,3 +151,14 @@ def test_batch_isolates_internal_errors(capsys, tmp_path, monkeypatch):
     assert rc_before == 1 and "polynomial" in json.loads(before[1])
     lines = out.splitlines()
     assert [lines[0], lines[2], lines[3]] == [before[0], before[2], before[3]]
+
+
+def test_unnamed_gauss_code_is_named_by_line_number(capsys, tmp_path):
+    table = tmp_path / "names.gauss"
+    table.write_text("# table\n\nO1+O2-U1+U2-\n")
+    rc, out, _ = run(capsys, "compute", table)
+    assert rc == 0 and out.startswith("names[3]: ")
+    rc, out, _ = run(capsys, "bounds", "--json", table)
+    assert rc == 0 and json.loads(out)["name"] == "names[3]"
+    rc, out, _ = run(capsys, "batch", table)
+    assert rc == 0 and json.loads(out)["name"] == "names[3]"
