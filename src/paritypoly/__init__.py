@@ -8,15 +8,15 @@ skein and symmetry checks, and a move-based verification suite.
 
 from .laurent import LaurentPoly, InexactDivision
 from .diagram import (
-    DiagramCode, DiagramError, MoveError, Pass,
-    apply_move, classical_gauss_code, flip, parity, parse_diagram, parse_vkd,
-    relabel, reverse, semi_arcs, shift_basepoint, switch, switched_flip,
+    Crossing, DiagramCode, DiagramError, MoveError, Pass,
+    apply_move, classical_gauss_code, crossings, flip, parity, parse_diagram,
+    parse_vkd, relabel, reverse, shift_basepoint, switch, switched_flip,
     validate,
 )
 from .realize import GaussError, RealizationError, frame_sign, parse_gauss, realize
 from .alexander import (
-    AlexanderMatrix, InternalArithmeticError, InvariantResult,
-    assign_roles, build_full_matrix_M, build_matrix_A, check_even_skein,
+    AlexanderMatrix, InvariantResult,
+    build_full_matrix_M, build_matrix_A, check_even_skein,
     check_symmetries, crossing_bounds, crossing_relators, determinant,
     determinant_cofactor, gcd_of_minors, group_presentation,
     parity_alexander, skein_matrices, switch_crossing,

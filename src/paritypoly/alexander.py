@@ -7,17 +7,9 @@ arc -> t, produce the (2n+3) x (2n+3) matrix M whose upper-left 2n x 2n
 block A has determinant det(A) = the invariant (up to a signed monomial
 unit, fixed by canonicalization).
 
-Role assignment at a crossing (the unified rule, same for classical and
-virtual crossings): X is the strand whose direction, followed by the other
-strand's direction, forms a positively oriented frame; x/w are the incoming
-and outgoing arcs of X, y/z those of the other strand.  For classical
-crossings this means: positive sign => x is the over-incoming arc,
-negative sign => x is the under-incoming arc.  For virtual crossings the
-frame bit marks the X pass directly.
-
-Each crossing is "virtual", "odd", "even+" or "even-"; ``crossing_classes``
-is the one place that reads sign, parity and virtuality to decide it.  Per
-class, ``RELATOR_WORDS`` gives the crossing's two relators (z is the
+Each crossing is "virtual", "odd", "even+" or "even-"; ``diagram.crossings``
+gives every crossing's class and role arcs (x, y incoming; z, w outgoing).
+Per class, ``RELATOR_WORDS`` gives the crossing's two relators (z is the
 outgoing arc of the y strand, w of the x strand; each is stored as
 RHS * target^-1) and ``ROW_TEMPLATES`` their abelianized Fox derivatives,
 the crossing's two rows of A: -1 on the target arc plus monomial-weighted
@@ -47,26 +39,14 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
-    ODD, OVER, UNDER, VIRTUAL,
-    DiagramCode, DiagramError, Pass, parity, semi_arcs,
+    ODD, OVER, UNDER,
+    Crossing, DiagramCode, DiagramError, Pass, crossings,
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
 from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
-
-
-class InternalArithmeticError(ArithmeticError):
-    """An exactness invariant broke inside the arithmetic; always a bug."""
-
-
-@dataclass(frozen=True)
-class CrossingRoles:
-    x_in: int
-    y_in: int
-    z_out: int
-    w_out: int
 
 
 @dataclass(frozen=True)
@@ -87,47 +67,6 @@ class AlexanderMatrix:
         return len(self.rows), len(self.cols)
 
 
-# -- roles and crossing classes -----------------------------------------------
-
-
-def assign_roles(code: DiagramCode) -> Dict[int, CrossingRoles]:
-    arcs = semi_arcs(code)
-    positions: Dict[int, List[int]] = {}
-    for i, p in enumerate(code.passes):
-        positions.setdefault(p.cid, []).append(i)
-    out: Dict[int, CrossingRoles] = {}
-    for cid, (p1, p2) in positions.items():
-        if code.passes[p1].kind == VIRTUAL:
-            x_pos = p1 if code.passes[p1].frame else p2
-        else:
-            want = OVER if code.signs[cid] > 0 else UNDER
-            x_pos = p1 if code.passes[p1].kind == want else p2
-        y_pos = p2 if x_pos == p1 else p1
-        out[cid] = CrossingRoles(
-            x_in=arcs.incoming(x_pos),
-            y_in=arcs.incoming(y_pos),
-            z_out=arcs.outgoing(y_pos),
-            w_out=arcs.outgoing(x_pos),
-        )
-    return out
-
-
-def crossing_classes(code: DiagramCode) -> Dict[int, str]:
-    """Crossing id -> "virtual", "odd", "even+" or "even-", the key into
-    RELATOR_WORDS and ROW_TEMPLATES."""
-    parities = parity(code)
-    classes: Dict[int, str] = {}
-    for cid in code.crossing_ids():
-        sign = code.signs.get(cid)
-        if sign is None:
-            classes[cid] = "virtual"
-        elif parities[cid] == ODD:
-            classes[cid] = ODD
-        else:
-            classes[cid] = "even+" if sign > 0 else "even-"
-    return classes
-
-
 # -- relator words (the oracle path) ---------------------------------------------
 
 # crossing class -> (z, w) right-hand sides, in foxcalc.word_from_string
@@ -146,22 +85,21 @@ _RELATOR_LETTERS: Dict[str, Tuple[Word, ...]] = {
 }
 
 
-def relator_pair(roles: CrossingRoles, crossing_class: str) -> Tuple[Word, Word]:
+def relator_pair(c: Crossing) -> Tuple[Word, Word]:
     """(z-relator, w-relator) for one crossing, as words RHS * target^-1."""
-    role_arcs = {_X: arc(roles.x_in), _Y: arc(roles.y_in)}
+    role_arcs = {_X: arc(c.x_in), _Y: arc(c.y_in)}
     return tuple(  # type: ignore[return-value]
         fx.reduce_word([(role_arcs.get(g, g), e) for g, e in rhs] + [(arc(target), -1)])
-        for rhs, target in zip(_RELATOR_LETTERS[crossing_class], (roles.z_out, roles.w_out)))
+        for rhs, target in zip(_RELATOR_LETTERS[c.cls], (c.z_out, c.w_out)))
 
 
 def crossing_relators(code: DiagramCode) -> List[Relator]:
     """Two relators per crossing, crossings ordered by id, z before w."""
-    classes = crossing_classes(code)
     out: List[Relator] = []
-    for cid, roles in sorted(assign_roles(code).items()):
-        r_z, r_w = relator_pair(roles, classes[cid])
-        out.append(Relator(r_z, cid, "z"))
-        out.append(Relator(r_w, cid, "w"))
+    for c in crossings(code):
+        r_z, r_w = relator_pair(c)
+        out.append(Relator(r_z, c.cid, "z"))
+        out.append(Relator(r_w, c.cid, "w"))
     return out
 
 
@@ -225,11 +163,11 @@ ROW_TEMPLATES: Dict[str, Tuple[Tuple[Tuple[str, LaurentPoly], ...], ...]] = {
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
-def _template_rows(roles: CrossingRoles, template: str) -> List[Dict[ColKey, LaurentPoly]]:
+def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]]:
     """The z and w rows of one crossing under ROW_TEMPLATES[template]."""
-    incoming = {"x": roles.x_in, "y": roles.y_in}
+    incoming = {"x": c.x_in, "y": c.y_in}
     rows = []
-    for target, entries in zip((roles.z_out, roles.w_out), ROW_TEMPLATES[template]):
+    for target, entries in zip((c.z_out, c.w_out), ROW_TEMPLATES[template]):
         row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
         for role, coeff in entries:
             col = incoming[role]
@@ -239,19 +177,19 @@ def _template_rows(roles: CrossingRoles, template: str) -> List[Dict[ColKey, Lau
 
 
 def build_matrix_A(code: DiagramCode,
-                   classes: Optional[Dict[int, str]] = None) -> AlexanderMatrix:
+                   table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
     """2n x 2n matrix A read off ROW_TEMPLATES: one column per arc, rows by
     ascending crossing id, z before w; entries on coinciding arcs add and
-    zero entries are dropped.  ``classes`` is ``crossing_classes(code)``
-    when the caller has it.  fox_matrix_A builds the same matrix from Fox
+    zero entries are dropped.  ``table`` is ``crossings(code)`` when the
+    caller has it.  fox_matrix_A builds the same matrix from Fox
     derivatives."""
-    if classes is None:
-        classes = crossing_classes(code)
+    if table is None:
+        table = crossings(code)
     rows: List[Dict[ColKey, LaurentPoly]] = []
     labels: List[Tuple] = []
-    for cid, roles in sorted(assign_roles(code).items()):
-        rows += _template_rows(roles, classes[cid])
-        labels += [(cid, "z"), (cid, "w")]
+    for c in table:
+        rows += _template_rows(c, c.cls)
+        labels += [(c.cid, "z"), (c.cid, "w")]
     return AlexanderMatrix(rows, labels, list(range(1, len(code.passes) + 1)))
 
 
@@ -452,11 +390,11 @@ def parity_alexander(code: DiagramCode) -> InvariantResult:
     small-instance oracle gcd_of_minors.  The empty code has a 0x0 matrix
     and canonical invariant 1.
     """
-    classes = crossing_classes(code)
-    det = determinant(build_matrix_A(code, classes))
+    table = crossings(code)
+    det = determinant(build_matrix_A(code, table))
     canonical, unit = det.canonicalize()
     zero = canonical.is_zero()
-    kinds = list(classes.values())
+    kinds = [c.cls for c in table]
     return InvariantResult(
         canonical=canonical,
         unit=unit,
@@ -597,18 +535,17 @@ def skein_matrices(code: DiagramCode, crossing_id: int
     """(M_plus, M_minus, M_smooth): A with the two rows of the selected even
     crossing read off the "even+", "even-" and "smooth" templates; the other
     rows and the labeling are shared."""
-    if crossing_id not in code.signs:
+    table = crossings(code)
+    k = next((i for i, c in enumerate(table) if c.cid == crossing_id), None)
+    if k is None or table[k].cls == "virtual":
         raise DiagramError(f"crossing {crossing_id} is not classical")
-    classes = crossing_classes(code)
-    if classes[crossing_id] == ODD:
+    if table[k].cls == ODD:
         raise DiagramError(f"crossing {crossing_id} is odd; use switch_crossing")
-    base = build_matrix_A(code, classes)
-    roles = assign_roles(code)[crossing_id]
-    k = base.row_labels.index((crossing_id, "z"))
+    base = build_matrix_A(code, table)
     out = []
     for template in ("even+", "even-", "smooth"):
         rows = list(base.rows)
-        rows[k:k + 2] = _template_rows(roles, template)
+        rows[2 * k:2 * k + 2] = _template_rows(table[k], template)
         out.append(AlexanderMatrix(rows, list(base.row_labels), list(base.cols)))
     return tuple(out)  # type: ignore[return-value]
 

@@ -15,6 +15,20 @@ Token syntax (used both for single codes and inside ``.vkd`` files):
     V<id>x        virtual pass carrying the frame bit
     V<id>y        virtual pass without the frame bit
 
+Semi-arcs are numbered along the code: in a code of n passes, arc i leaves
+the pass at 0-indexed position i-1 and enters the pass at position i, and
+arc n enters the pass at position 0.  The empty code has a single closed
+arc.
+
+Role assignment at a crossing (the unified rule, same for classical and
+virtual crossings): X is the strand whose direction, followed by the other
+strand's direction, forms a positively oriented frame; x/w are the incoming
+and outgoing arcs of X, y/z those of the other strand.  For classical
+crossings this means: positive sign => x is the over-incoming arc,
+negative sign => x is the under-incoming arc.  For virtual crossings the
+frame bit marks the X pass directly.  ``crossings`` applies this rule and
+sorts each crossing into its class, "virtual", "odd", "even+" or "even-".
+
 A ``DiagramCode`` is checked when it is built: its constructor raises
 ``DiagramError`` naming every violated invariant.  Every code, parsed,
 realized, moved or built by hand, goes through the constructor, so
@@ -27,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 OVER = "O"
 UNDER = "U"
@@ -69,6 +83,11 @@ class DiagramCode:
 
     def __len__(self) -> int:
         return len(self.passes)
+
+    @property
+    def arc_count(self) -> int:
+        """Number of semi-arcs; the empty code has a single closed arc."""
+        return max(len(self.passes), 1)
 
     def crossing_ids(self) -> List[int]:
         return list(dict.fromkeys(p.cid for p in self.passes))
@@ -227,28 +246,45 @@ def parity(code: DiagramCode) -> Dict[int, str]:
     return out
 
 
-# -- semi-arcs ----------------------------------------------------------------
+# -- the crossing table -------------------------------------------------------
 
 
-class SemiArcs:
-    """Deterministic semi-arc labeling: arc i runs from pass i to pass i+1
-    (1-indexed, cyclic).  The empty code has a single closed arc."""
-
-    def __init__(self, code: DiagramCode):
-        self.n_passes = len(code.passes)
-        self.count = self.n_passes if self.n_passes else 1
-
-    def outgoing(self, pos: int) -> int:
-        """Arc leaving the pass at 0-indexed position pos."""
-        return pos + 1
-
-    def incoming(self, pos: int) -> int:
-        """Arc entering the pass at 0-indexed position pos."""
-        return pos if pos > 0 else self.n_passes
+class Crossing(NamedTuple):
+    """One crossing: its class and the four semi-arcs that meet there."""
+    cid: int
+    cls: str    # "virtual", "odd", "even+" or "even-"
+    x_in: int   # incoming arc of the X strand
+    y_in: int   # incoming arc of the other strand
+    z_out: int  # outgoing arc of the other strand
+    w_out: int  # outgoing arc of the X strand
 
 
-def semi_arcs(code: DiagramCode) -> SemiArcs:
-    return SemiArcs(code)
+def crossings(code: DiagramCode) -> List[Crossing]:
+    """Every crossing's class and role arcs, in ascending id order.
+
+    This is the one place that numbers the semi-arcs and reads sign, parity
+    and frame bit to classify a crossing and assign its roles.
+    """
+    n = len(code.passes)
+    parities = parity(code)
+    first: Dict[int, int] = {}  # cid -> position of its first pass
+    out: List[Crossing] = []
+    for pos, p in enumerate(code.passes):
+        i = first.pop(p.cid, None)
+        if i is None:
+            first[p.cid] = pos
+            continue
+        sign = code.signs.get(p.cid)
+        if sign is None:
+            cls = "virtual"
+            x_first = code.passes[i].frame
+        else:
+            cls = ODD if parities[p.cid] == ODD else "even+" if sign > 0 else "even-"
+            x_first = code.passes[i].kind == (OVER if sign > 0 else UNDER)
+        x, y = (i, pos) if x_first else (pos, i)
+        out.append(Crossing(p.cid, cls, x or n, y or n, y + 1, x + 1))
+    out.sort()
+    return out
 
 
 # -- symmetry operators ---------------------------------------------------------
@@ -372,10 +408,10 @@ def _fresh_ids(code: DiagramCode, k: int) -> List[int]:
 
 def _check_arc(code: DiagramCode, arc: int) -> int:
     """Map a 1-indexed arc label to the insertion position after it."""
-    n_arcs = len(code.passes) if code.passes else 1
+    n_arcs = code.arc_count
     if not 1 <= arc <= n_arcs:
         raise MoveError(f"arc {arc} out of range 1..{n_arcs}")
-    return arc % max(len(code.passes), 1) if code.passes else 0
+    return arc % n_arcs
 
 
 def _insert(code: DiagramCode, sites: List[Tuple[int, List[Pass]]],
@@ -408,6 +444,16 @@ def _positions_of(code: DiagramCode, cid: int) -> List[int]:
 def _adjacent(code: DiagramCode, i: int, j: int) -> bool:
     n = len(code.passes)
     return (i + 1) % n == j or (j + 1) % n == i
+
+
+def _adjacent_pairs(code: DiagramCode, c: int, d: int, pc: List[int], pd: List[int]
+                    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The passes of c and d (at positions pc and pd) as two adjacent
+    (c pass, d pass) position pairs."""
+    for i, j in ((0, 1), (1, 0)):
+        if _adjacent(code, pc[0], pd[i]) and _adjacent(code, pc[1], pd[j]):
+            return (pc[0], pd[i]), (pc[1], pd[j])
+    raise MoveError(f"crossings {c},{d}: passes do not form two adjacent pairs")
 
 
 def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
@@ -471,13 +517,7 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
         if code.signs[c] + code.signs[d] != 0:
             raise MoveError(f"crossings {c},{d} do not have opposite signs")
         pc, pd = _positions_of(code, c), _positions_of(code, d)
-        pairing = None
-        for (i, j) in ((0, 1), (1, 0)):
-            if _adjacent(code, pc[0], pd[i]) and _adjacent(code, pc[1], pd[j]):
-                pairing = ((pc[0], pd[i]), (pc[1], pd[j]))
-                break
-        if pairing is None:
-            raise MoveError(f"crossings {c},{d}: passes do not form two adjacent pairs")
+        pairing = _adjacent_pairs(code, c, d, pc, pd)
         kinds = [
             {code.passes[a].kind, code.passes[b].kind}
             for a, b in pairing
@@ -504,13 +544,7 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
             raise MoveError(f"v2_remove needs two distinct crossings, got {c},{d}")
         if any(code.passes[i].kind != VIRTUAL for i in pc + pd):
             raise MoveError(f"crossings {c},{d} are not both virtual")
-        pairing = None
-        for (i, j) in ((0, 1), (1, 0)):
-            if _adjacent(code, pc[0], pd[i]) and _adjacent(code, pc[1], pd[j]):
-                pairing = ((pc[0], pd[i]), (pc[1], pd[j]))
-                break
-        if pairing is None:
-            raise MoveError(f"crossings {c},{d}: passes do not form two adjacent pairs")
+        pairing = _adjacent_pairs(code, c, d, pc, pd)
         frames1 = sum(1 for k in pairing[0] if code.passes[k].frame)
         if frames1 != 1:
             raise MoveError(f"crossings {c},{d}: frame bits are not complementary")

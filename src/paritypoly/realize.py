@@ -114,19 +114,15 @@ def frame_sign(dir_a: Tuple[int, int], dir_b: Tuple[int, int]) -> int:
 Point = Tuple[int, int]
 
 
-def _route_vertices(g: SignedGaussCode, perm: Sequence[int]) -> List[Point]:
+def _route_vertices(g: SignedGaussCode, perm: Sequence[int],
+                    x_of: Dict[int, int]) -> List[Point]:
     """Closed axis-aligned polyline visiting the crossing sites in code order.
 
-    perm permutes the per-connection channel allocation; two different
-    permutations give two genuinely different routings of the same knot.
+    x_of gives each crossing site's x coordinate.  perm permutes the
+    per-connection channel allocation; two different permutations give two
+    genuinely different routings of the same knot.
     """
     n = len(g) // 2
-    order: List[int] = []
-    for cid, _k, _s in g:
-        if cid not in order:
-            order.append(cid)
-    x_of = {cid: 100 * (i + 1) for i, cid in enumerate(order)}
-    sign_of = {cid: s for cid, _k, s in g}
 
     def ports(entry: GaussEntry) -> Tuple[Point, Point, str, str]:
         """(entry port, exit port, entry kind, exit kind) of one pass."""
@@ -246,15 +242,12 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
         return EMPTY_CODE
     m = len(g)
     perm = list(range(m)) if strategy == 0 else list(reversed(range(m)))
-    verts = _route_vertices(g, perm)
+    # crossing sites on the x-axis, 100 apart, in order of first appearance
+    x_of = {cid: 100 * (i + 1) for i, cid in enumerate(dict.fromkeys(c for c, _k, _s in g))}
+    verts = _route_vertices(g, perm, x_of)
     segs = _segments(verts)
     crossings = _intersections(segs)
 
-    order: List[int] = []
-    for cid, _k, _s in g:
-        if cid not in order:
-            order.append(cid)
-    x_of = {cid: 100 * (i + 1) for i, cid in enumerate(order)}
     center_of = {(x, 0): cid for cid, x in x_of.items()}
     sign_of = {cid: s for cid, _k, s in g}
 

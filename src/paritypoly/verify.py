@@ -18,8 +18,8 @@ from .alexander import (
     determinant, gcd_of_minors, parity_alexander, switch_crossing,
 )
 from .diagram import (
-    EVEN, ODD, R2_VARIANTS, VIRTUAL, DiagramCode, MoveError, Pass, apply_move, parity,
-    random_code, relabel, removal_sites, semi_arcs, shift_basepoint,
+    ODD, R2_VARIANTS, VIRTUAL, DiagramCode, Pass, apply_move, crossings,
+    random_code, relabel, removal_sites, shift_basepoint,
 )
 Check = Tuple[str, bool, str]  # label, passed, detail
 
@@ -42,7 +42,7 @@ class VerifyReport:
 
 
 def _random_insert(rng: random.Random, code: DiagramCode) -> Tuple:
-    arcs = semi_arcs(code).count
+    arcs = code.arc_count
     kind = rng.choice(["r1", "v1", "r2", "v2"])
     a1 = rng.randint(1, arcs)
     a2 = rng.randint(1, arcs)
@@ -129,13 +129,12 @@ def suite_skein(diagrams: Sequence[Tuple[str, DiagramCode]]) -> VerifyReport:
     """D+ - st D- = (1-st) Dv must hold at every even crossing."""
     report = VerifyReport("skein")
     for name, code in diagrams:
-        par = parity(code)
-        for cid in sorted(code.signs):
-            if par[cid] != EVEN:
+        for c in crossings(code):
+            if c.cls not in ("even+", "even-"):
                 continue
-            rep = check_even_skein(code, cid)
+            rep = check_even_skein(code, c.cid)
             report.add(
-                f"{name}: crossing {cid}", rep.proof_form_holds,
+                f"{name}: crossing {c.cid}", rep.proof_form_holds,
                 "" if rep.proof_form_holds else
                 f"D+ = {rep.d_plus.to_text()}, D- = {rep.d_minus.to_text()}, "
                 f"Dv = {rep.d_smooth.to_text()}")
@@ -146,9 +145,8 @@ def suite_oddswitch(diagrams: Sequence[Tuple[str, DiagramCode]]) -> VerifyReport
     """Switching odd crossings must leave the invariant exactly unchanged."""
     report = VerifyReport("oddswitch")
     for name, code in diagrams:
-        par = parity(code)
         base = parity_alexander(code).canonical
-        odd_ids = [cid for cid in sorted(code.signs) if par[cid] == ODD]
+        odd_ids = [c.cid for c in crossings(code) if c.cls == ODD]
         for cid in odd_ids:
             got = parity_alexander(switch_crossing(code, cid)).canonical
             report.add(f"{name}: switch odd crossing {cid}", got == base,
@@ -164,9 +162,11 @@ def suite_oddswitch(diagrams: Sequence[Tuple[str, DiagramCode]]) -> VerifyReport
     return report
 
 
-def random_word(rng: random.Random, max_len: int = 20, n_arcs: int = 4) -> fx.Word:
-    gens = [fx.arc(i) for i in range(1, n_arcs + 1)] + [fx.S_GEN, fx.Q_GEN, fx.H_GEN]
-    letters = [(rng.choice(gens), rng.choice([1, -1]))
+_WORD_GENS = [fx.arc(i) for i in range(1, 5)] + [fx.S_GEN, fx.Q_GEN, fx.H_GEN]
+
+
+def random_word(rng: random.Random, max_len: int = 20) -> fx.Word:
+    letters = [(rng.choice(_WORD_GENS), rng.choice([1, -1]))
                for _ in range(rng.randint(0, max_len))]
     return fx.reduce_word(letters)
 
@@ -191,8 +191,8 @@ def suite_foxid(diagrams: Sequence[Tuple[str, DiagramCode]] = (),
     return report
 
 
-def enumerate_small_codes(max_crossings: int = 2) -> List[DiagramCode]:
-    """Every valid code with at most max_crossings crossings (any classes)."""
+def enumerate_small_codes() -> List[DiagramCode]:
+    """Every valid code with one or two crossings (any classes)."""
     def flavors(cid: int) -> List[Tuple[Pass, Pass, Optional[int]]]:
         out = []
         for over_first in (True, False):
@@ -209,20 +209,19 @@ def enumerate_small_codes(max_crossings: int = 2) -> List[DiagramCode]:
         a, b, s1 = f1
         signs = {1: s1} if s1 else {}
         codes.append(DiagramCode((a, b), dict(signs)))
-    if max_crossings >= 2:
-        pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-        for (p1, p2) in pairings:
-            for f1 in flavors(1):
-                for f2 in flavors(2):
-                    passes: List[Optional[Pass]] = [None] * 4
-                    passes[p1[0]], passes[p1[1]] = f1[0], f1[1]
-                    passes[p2[0]], passes[p2[1]] = f2[0], f2[1]
-                    signs = {}
-                    if f1[2]:
-                        signs[1] = f1[2]
-                    if f2[2]:
-                        signs[2] = f2[2]
-                    codes.append(DiagramCode(tuple(passes), signs))  # type: ignore[arg-type]
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    for (p1, p2) in pairings:
+        for f1 in flavors(1):
+            for f2 in flavors(2):
+                passes: List[Optional[Pass]] = [None] * 4
+                passes[p1[0]], passes[p1[1]] = f1[0], f1[1]
+                passes[p2[0]], passes[p2[1]] = f2[0], f2[1]
+                signs = {}
+                if f1[2]:
+                    signs[1] = f1[2]
+                if f2[2]:
+                    signs[2] = f2[2]
+                codes.append(DiagramCode(tuple(passes), signs))  # type: ignore[arg-type]
     return codes
 
 

@@ -8,13 +8,13 @@ import pytest
 from paritypoly import alexander as ax
 from paritypoly import foxcalc as fx
 from paritypoly.alexander import (
-    AlexanderMatrix, assign_roles, build_full_matrix_M, build_matrix_A,
-    check_even_skein, check_symmetries, crossing_bounds, crossing_classes, crossing_relators,
+    AlexanderMatrix, build_full_matrix_M, build_matrix_A,
+    check_even_skein, check_symmetries, crossing_bounds, crossing_relators,
     determinant, determinant_cofactor, gcd_of_minors, group_presentation,
     fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
 from paritypoly.diagram import (
-    DiagramError, parse_diagram, parse_vkd, random_code, random_code_of_size,
+    DiagramError, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
 from paritypoly.realize import parse_gauss_file, realize
@@ -30,7 +30,7 @@ H1 = LaurentPoly.var("h", -1)
 
 def test_assign_roles_positive_pair():
     code = parse_diagram("O1+ U2+ U1+ O2+")
-    roles = assign_roles(code)
+    roles = {c.cid: c for c in crossings(code)}
     # crossing 1 is positive: x enters at its over pass (position 0)
     assert roles[1].x_in == 4 and roles[1].w_out == 1
     assert roles[1].y_in == 2 and roles[1].z_out == 3
@@ -41,7 +41,7 @@ def test_assign_roles_positive_pair():
 
 def test_assign_roles_negative():
     code = parse_diagram("O1- U2- U1- O2-")
-    roles = assign_roles(code)
+    roles = {c.cid: c for c in crossings(code)}
     # negative: x enters at the under pass
     assert roles[1].x_in == 2 and roles[1].w_out == 3
     assert roles[1].y_in == 4 and roles[1].z_out == 1
@@ -50,7 +50,7 @@ def test_assign_roles_negative():
 def test_crossing_classes():
     # 1 and 3 each enclose one classical pass; 4 and 5 are kinks
     code = parse_diagram("O1+ V2x O3- U1+ V2y U3- O4+ U4+ O5- U5-")
-    assert crossing_classes(code) == {
+    assert {c.cid: c.cls for c in crossings(code)} == {
         1: "odd", 2: "virtual", 3: "odd", 4: "even+", 5: "even-"}
 
 
@@ -442,14 +442,14 @@ def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
         code = random_code(rng, max_crossings=rng.choice([3, 6, 9]),
                            p_virtual=rng.choice([0.0, 0.4]))
         A = build_matrix_A(code)
-        for cid, cls in crossing_classes(code).items():
+        for r in crossings(code):
+            cid, cls = r.cid, r.cls
             if cls not in ("even+", "even-"):
                 continue
             sites += 1
             plus, minus, smooth = skein_matrices(code, cid)
             switched = build_matrix_A(switch_crossing(code, cid))
             assert (plus, minus) == ((A, switched) if cls == "even+" else (switched, A))
-            r = assign_roles(code)[cid]
             z_row = {r.z_out: LaurentPoly.const(-1)}
             z_row[r.x_in] = z_row.get(r.x_in, ZERO) + ONE
             w_row = {r.w_out: LaurentPoly.const(-1)}

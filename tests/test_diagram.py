@@ -1,6 +1,7 @@
 """Diagram codes: parsing, validation, parity, arcs, symmetry operators."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,14 @@ from paritypoly import diagram
 from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     DiagramCode, DiagramError, EVEN, ODD, OVER, Pass, UNDER, VIRTUAL,
-    apply_move, classical_gauss_code, flip, format_vkd, parity, parse_diagram, parse_vkd,
-    random_code, relabel, reverse, same_up_to_shift_relabel, semi_arcs,
+    apply_move, classical_gauss_code, crossings, flip, format_vkd, parity, parse_diagram,
+    parse_vkd, random_code, relabel, reverse, same_up_to_shift_relabel,
     shift_basepoint, switch, switched_flip, validate,
 )
-from paritypoly.realize import parse_gauss, realize
+from paritypoly.realize import parse_gauss, parse_gauss_file, realize
+from paritypoly.verify import enumerate_small_codes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parse_basic():
@@ -116,20 +120,42 @@ def test_parity_matches_interlacement_oracle():
 
 def test_semi_arcs():
     code = parse_diagram("O1+ U2+ U1+ O2+")
-    arcs = semi_arcs(code)
-    assert arcs.count == 4
-    assert arcs.outgoing(0) == 1 == arcs.incoming(1)
-    assert arcs.incoming(0) == 4
+    assert code.arc_count == 4
+    first, second = crossings(code)
+    # arc 1 leaves position 0 (crossing 1's X pass) and enters position 1
+    assert first.w_out == 1 == second.y_in
+    assert first.x_in == 4  # arc 4 enters position 0
     kink = parse_diagram("O1+ U1+")
-    assert semi_arcs(kink).count == 2
-    assert semi_arcs(parse_diagram("")).count == 1
+    assert kink.arc_count == 2
+    assert parse_diagram("").arc_count == 1
 
 
 def test_semi_arc_count_random():
     rng = random.Random(10)
     for _ in range(20):
         code = random_code(rng)
-        assert semi_arcs(code).count == 2 * len(code.crossing_ids())
+        assert code.arc_count == 2 * len(code.crossing_ids())
+
+
+def test_crossings_cover_each_arc_once_and_count_classes():
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    codes += [realize(g) for _name, g in
+              parse_gauss_file((FIXTURES / "table_knots.gauss").read_text())]
+    codes += enumerate_small_codes()
+    rng = random.Random(60)
+    codes += [random_code(rng, max_crossings=rng.choice([3, 6, 12]),
+                          p_virtual=rng.choice([0.0, 0.4, 0.8])) for _ in range(500)]
+    for code in codes:
+        table = crossings(code)
+        arcs = list(range(1, len(code.passes) + 1))
+        assert [c.cid for c in table] == sorted(code.crossing_ids())
+        assert sorted(a for c in table for a in (c.x_in, c.y_in)) == arcs, code.to_text()
+        assert sorted(a for c in table for a in (c.z_out, c.w_out)) == arcs, code.to_text()
+        classes = [c.cls for c in table]
+        parities = list(parity(code).values())
+        assert classes.count("even+") + classes.count("even-") == parities.count(EVEN)
+        assert classes.count(ODD) == parities.count(ODD)
+        assert classes.count("virtual") == len(code.virtual_ids())
 
 
 def test_symmetry_operators_are_involutions():

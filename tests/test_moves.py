@@ -9,7 +9,7 @@ from braidgen import braid_closure, random_letter, triangle_words
 from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     EVEN, MoveError, ODD, apply_move, parity, parse_diagram, parse_vkd,
-    random_code, removal_sites, same_up_to_shift_relabel, semi_arcs,
+    random_code, removal_sites, same_up_to_shift_relabel,
 )
 from paritypoly.verify import random_move
 
@@ -37,7 +37,7 @@ def test_insert_remove_inverses_random():
     rng = random.Random(200)
     for _ in range(60):
         code = random_code(rng, max_crossings=4)
-        arcs = semi_arcs(code).count
+        arcs = code.arc_count
         a1, a2 = rng.randint(1, arcs), rng.randint(1, arcs)
         fresh = max(code.crossing_ids(), default=0)
         for mv, inverse in [
