@@ -118,7 +118,7 @@ def _word_row(word: Word, cols: Set[ColKey]) -> Dict[ColKey, LaurentPoly]:
         col = g[1] if g[0] == "a" else g[0]
         if col not in cols:
             continue
-        entry = fx.abelianize(fx.fox_derivative(word, g))
+        entry = fx.fox_derivative(word, g)
         if entry:
             row[col] = entry
     return row

@@ -183,7 +183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DiagramError, GaussError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InexactDivision, RealizationError) as exc:
+    except RealizationError as exc:
+        print(f"internal realization error: {exc}", file=sys.stderr)
+        return 2
+    except InexactDivision as exc:
         print(f"internal arithmetic error: {exc}", file=sys.stderr)
         return 2
 

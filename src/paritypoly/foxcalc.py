@@ -1,31 +1,34 @@
-"""Free group words over arc generators and s, q, h, with Fox derivatives.
+"""Free group words over arc generators and s, q, h, with abelianized Fox
+derivatives.
 
 Generators are encoded as tuples: ("a", i) for arc generators (i >= 1) and
 ("s", 0), ("q", 0), ("h", 0) for the three extra generators.  A word is a
 tuple of (generator, exponent) letters with exponent +1 or -1, kept freely
-reduced at all times.  A group ring element is a dict mapping words to
-nonzero integer coefficients.
+reduced at all times.
 
 The abelianization sends every arc generator to the monomial t and s, q, h
 to themselves, landing in the Laurent ring of :mod:`paritypoly.laurent`.
+Fox derivatives are only ever used abelianized, so ``fox_derivative``
+returns the image there directly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from .laurent import LaurentPoly
+from .laurent import Exps, LaurentPoly
 
 Gen = Tuple[str, int]
 Letter = Tuple[Gen, int]
 Word = Tuple[Letter, ...]
-RingElem = Dict[Word, int]
 
 S_GEN: Gen = ("s", 0)
 Q_GEN: Gen = ("q", 0)
 H_GEN: Gen = ("h", 0)
 
-EMPTY: Word = ()
+# generator kind -> index of its variable in a LaurentPoly exponent tuple;
+# every arc generator goes to t
+_AXIS = {"s": 0, "a": 1, "q": 2, "h": 3}
 
 
 def arc(i: int) -> Gen:
@@ -43,20 +46,6 @@ def reduce_word(letters: Iterable[Letter]) -> Word:
         else:
             stack.append((g, e))
     return tuple(stack)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    """Product of reduced words; only the seam can cancel."""
-    u2 = list(u)
-    i = 0
-    while u2 and i < len(v) and u2[-1][0] == v[i][0] and u2[-1][1] == -v[i][1]:
-        u2.pop()
-        i += 1
-    return tuple(u2) + v[i:]
-
-
-def invert(u: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(u))
 
 
 def word_from_string(text: str) -> Word:
@@ -87,97 +76,40 @@ def word_to_string(u: Word) -> str:
     return " ".join(parts)
 
 
-# -- group ring elements ----------------------------------------------------
-
-
-def ring_add(a: RingElem, b: RingElem) -> RingElem:
-    out = dict(a)
-    for w, c in b.items():
-        nc = out.get(w, 0) + c
-        if nc:
-            out[w] = nc
-        else:
-            out.pop(w, None)
-    return out
-
-
-def word_action(u: Word, a: RingElem) -> RingElem:
-    """Left-multiply every word of a by u."""
-    out: RingElem = {}
-    for w, c in a.items():
-        nw = multiply(u, w)
-        nc = out.get(nw, 0) + c
-        if nc:
-            out[nw] = nc
-        else:
-            out.pop(nw, None)
-    return out
-
-
-# -- Fox derivatives ---------------------------------------------------------
-
-
-def fox_derivative(w: Word, g: Gen) -> RingElem:
-    """Free derivative of a reduced word with respect to generator g.
-
-    Satisfies d(g)/d(g) = 1, d(g')/d(g) = 0 for g' != g, the product rule
-    d(aw) = d(a) + a d(w), and hence d(u^-1) = -u^-1 d(u).
-    """
-    out: RingElem = {}
-    prefix: Word = EMPTY
-    for letter in w:
-        lg, le = letter
-        if lg == g:
-            if le == 1:
-                contrib = prefix
-            else:
-                contrib = multiply(prefix, ((lg, -1),))
-            c = out.get(contrib, 0) + (1 if le == 1 else -1)
-            if c:
-                out[contrib] = c
-            else:
-                out.pop(contrib, None)
-        prefix = multiply(prefix, (letter,))
-    return out
-
-
-# -- abelianization ----------------------------------------------------------
-
-_STANDARD_IMAGES = {
-    "a": (0, 1, 0, 0),  # every arc generator goes to t
-    "s": (1, 0, 0, 0),
-    "q": (0, 0, 1, 0),
-    "h": (0, 0, 0, 1),
-}
-
-
-def standard_image(g: Gen) -> LaurentPoly:
-    e = _STANDARD_IMAGES[g[0]]
-    return LaurentPoly({e: 1})
-
-
 def abelianize_word(w: Word) -> LaurentPoly:
     """Image of a word: arcs to t, and s, q, h to themselves."""
     e = [0, 0, 0, 0]
     for (kind, _idx), exp in w:
-        img = _STANDARD_IMAGES[kind]
-        for i in range(4):
-            e[i] += exp * img[i]
+        e[_AXIS[kind]] += exp
     return LaurentPoly({tuple(e): 1})
 
 
-def abelianize(elem: RingElem) -> LaurentPoly:
-    out = LaurentPoly.zero()
-    for w, c in elem.items():
-        out = out + abelianize_word(w) * c
-    return out
+def fox_derivative(w: Word, g: Gen) -> LaurentPoly:
+    """Abelianized free derivative of a reduced word with respect to g.
+
+    One pass over w, keeping the exponent vector of the prefix read so far:
+    a letter g adds +prefix, and a letter g^-1 adds -prefix g^-1, which is
+    the prefix after that letter.  This is the image of the free derivative
+    fixed by d(g)/d(g) = 1, d(g')/d(g) = 0 for g' != g and the product rule
+    d(uv) = d(u) + u d(v).
+    """
+    terms: Dict[Exps, int] = {}
+    prefix = [0, 0, 0, 0]
+    for lg, le in w:
+        axis = _AXIS[lg[0]]
+        if le < 0:
+            prefix[axis] -= 1
+        if lg == g:
+            key = tuple(prefix)
+            terms[key] = terms.get(key, 0) + le
+        if le > 0:
+            prefix[axis] += 1
+    return LaurentPoly({e: c for e, c in terms.items() if c})
 
 
 def fundamental_identity_check(w: Word) -> bool:
     """Check sum_g d(w)/d(g) * (image(g) - 1) == image(w) - 1 exactly."""
-    gens = {g for g, _e in w}
     total = LaurentPoly.zero()
-    for g in gens:
-        img_g = standard_image(g)
-        total = total + abelianize(fox_derivative(w, g)) * (img_g - 1)
+    for g in dict.fromkeys(g for g, _e in w):
+        total = total + fox_derivative(w, g) * (abelianize_word(((g, 1),)) - 1)
     return total == abelianize_word(w) - 1

@@ -276,32 +276,21 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
             if frame_sign((1, 0), d) != sign_of[cid]:
                 raise RealizationError(f"geometric sign mismatch at crossing {cid}")
 
-    first_visit: Dict[Point, Tuple[int, Tuple[int, int]]] = {}
-    next_vid = max(x_of) + 1
-    vids: Dict[Point, int] = {}
-    frames: Dict[Point, int] = {}  # which visit (0/1) carries the frame bit
-    for idx, (p, kind, d) in enumerate(passes):
-        if kind != VIRTUAL:
-            continue
-        if p not in first_visit:
-            first_visit[p] = (idx, d)
-            vids[p] = next_vid
-            next_vid += 1
-        else:
-            d1 = first_visit[p][1]
-            frames[p] = 0 if frame_sign(d1, d) > 0 else 1
-    if len(frames) != len(first_visit):
-        raise RealizationError("virtual crossing visited other than twice")
-
-    seen_count: Dict[Point, int] = {}
-    final: List[Pass] = []
-    for p, kind, d in passes:
+    # each virtual point -> its two pass indices, points in first-visit order
+    visits: Dict[Point, List[int]] = {}
+    for idx, (p, kind, _d) in enumerate(passes):
         if kind == VIRTUAL:
-            visit = seen_count.get(p, 0)
-            seen_count[p] = visit + 1
-            final.append(Pass(vids[p], VIRTUAL, frames[p] == visit))
-        else:
-            final.append(Pass(center_of[p], kind))
+            visits.setdefault(p, []).append(idx)
+    virtual: Dict[int, Pass] = {}
+    for vid, idxs in enumerate(visits.values(), start=max(x_of) + 1):
+        if len(idxs) != 2:
+            raise RealizationError("virtual crossing visited other than twice")
+        first, second = idxs
+        framed = frame_sign(passes[first][2], passes[second][2]) > 0
+        virtual[first] = Pass(vid, VIRTUAL, framed)
+        virtual[second] = Pass(vid, VIRTUAL, not framed)
+    final = [virtual[idx] if kind == VIRTUAL else Pass(center_of[p], kind)
+             for idx, (p, kind, _d) in enumerate(passes)]
 
     code = DiagramCode(tuple(final), dict(sign_of))
     if classical_gauss_code(code) != tuple(g):

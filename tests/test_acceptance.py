@@ -6,7 +6,7 @@ knots are the published ones.  The named fixtures are documented stand-ins
 match each entry's classical crossing count and odd/even parity profile;
 criteria that compare against the published values report honestly against
 those stand-ins.  Which criteria cannot be met, and why, is open as
-ROADMAP item 4 (the acceptance convention audit).
+ROADMAP item 5 (the acceptance convention audit).
 """
 
 import time

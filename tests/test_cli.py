@@ -153,6 +153,21 @@ def test_batch_isolates_internal_errors(capsys, tmp_path, monkeypatch):
     assert [lines[0], lines[2], lines[3]] == [before[0], before[2], before[3]]
 
 
+def test_main_names_realization_errors(capsys, tmp_path, monkeypatch):
+    from paritypoly import cli
+    from paritypoly.realize import RealizationError
+
+    def realize(g, *args, **kwargs):
+        raise RealizationError("no routing for this code")
+
+    monkeypatch.setattr(cli, "realize", realize)
+    table = tmp_path / "table.gauss"
+    table.write_text("O1+U1+\n")
+    rc, out, err = run(capsys, "compute", table)
+    assert rc == 2 and out == ""
+    assert err == "internal realization error: no routing for this code\n"
+
+
 def test_unnamed_gauss_code_is_named_by_line_number(capsys, tmp_path):
     table = tmp_path / "names.gauss"
     table.write_text("# table\n\nO1+O2-U1+U2-\n")
