@@ -25,8 +25,9 @@ presentation view and the tests use it, and the tests check that both
 paths give the same A.
 
 ``determinant`` divides nowhere: it pivots on the +/- monomial entries
-(unit pivots), then expands the small unit-free core that is left by a
-memoized Laplace expansion.
+(unit pivots: in the sparsest row, at the unit column the fewest rows
+hold), then expands the small unit-free core that is left by a memoized
+Laplace expansion.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .diagram import (
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
-from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, LaurentPoly
+from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
@@ -196,15 +197,37 @@ def build_matrix_A(code: DiagramCode,
 # -- exact determinants --------------------------------------------------------
 
 
-def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a * b, as a shift when either factor is a single term."""
-    if len(b.terms) == 1:
-        ((e, c),) = b.terms.items()
-        return a.shift(e, c)
-    if len(a.terms) == 1:
-        ((e, c),) = a.terms.items()
-        return b.shift(e, c)
-    return a * b
+Terms = Dict[Exps, int]  # the terms of a LaurentPoly
+
+
+def _add_product(acc: Optional[Terms], a: Terms, b: Terms, sign: int) -> Terms:
+    """acc + sign * a * b on term dicts: into acc in place, or into a fresh
+    dict when acc is None; cancelled terms stay as zeros for the caller to
+    drop.  A single-term factor shifts the other factor; a product of two
+    multi-term factors is one ``LaurentPoly.__mul__`` call, taken as is
+    into an empty accumulator."""
+    if len(a) > 1 and len(b) > 1:
+        src = (LaurentPoly(a) * LaurentPoly(b)).terms
+        if acc is None:
+            return src if sign > 0 else {e: -c for e, c in src.items()}
+        d0 = d1 = d2 = d3 = 0
+    else:
+        if len(a) == 1:
+            a, b = b, a
+        (((d0, d1, d2, d3), c),) = b.items()
+        src, sign = a, sign * c
+        if acc is None:
+            return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): sign * c
+                    for (e0, e1, e2, e3), c in src.items()}
+    get = acc.get
+    for (e0, e1, e2, e3), c in src.items():
+        e = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
+        acc[e] = get(e, 0) + sign * c
+    return acc
+
+
+def _drop_zeros(acc: Terms) -> Terms:
+    return {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def _permutation_sign(perm: List[int]) -> int:
@@ -228,26 +251,27 @@ def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
     (cheap row operations, most relator rows have one), then expand the
     unit-free core with the division-free ``_laplace``.
 
-    Each unit pivot is taken in the sparsest live row that has one, at its
-    unit entry of lowest column position.  Rows wait in a heap of (length,
-    row), re-queued whenever a pivot changes them; an entry whose row was
-    pivoted or changed length is skipped.  A column -> rows index confines
-    each elimination step to the rows holding the pivot column.  The pivot
-    rows then form a triangular block, so det is the product of the pivots
-    times det(core), signed by the parity of the row -> column matching:
-    each pivot row to its column, then the core rows to the core columns in
-    order.
+    Each unit pivot is taken in the sparsest live row that has one, at the
+    unit whose column the fewest live rows hold (Markowitz's fill-in rule;
+    the lowest column position on a tie).  Rows wait in a heap of (length,
+    row), re-queued when a pivot changes them; stale entries are skipped.
+    A column -> rows index confines each step to the rows holding the pivot
+    column.  det is the product of the pivots times det(core), signed by the
+    parity of the row -> column matching: each pivot row to its column, the
+    core rows to the core columns in order.  Work rows map column position
+    -> term dict, the input's own until a step first changes the entry,
+    which is then copied and updated in place.
     """
     position = {c: j for j, c in enumerate(cols)}
-    work = [dict(r) for r in rows]
-    holders: Dict[ColKey, Set[int]] = {c: set() for c in cols}
+    work = [{position[c]: v.terms for c, v in r.items() if v.terms} for r in rows]
+    holders: Dict[int, Set[int]] = {j: set() for j in range(len(cols))}
     for i, row in enumerate(work):
-        for c in row:
-            holders[c].add(i)
+        for j in row:
+            holders[j].add(i)
     heap = [(len(row), i) for i, row in enumerate(work)]
     heapq.heapify(heap)
     match: Dict[int, int] = {}  # row -> column position
-    pivots: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]  # exponents; summed at the end
+    pivots: List[Exps] = [(0, 0, 0, 0)]  # exponents; summed at the end
     unit_sign = 1
 
     while heap:
@@ -257,78 +281,75 @@ def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
         if not length:
             return LaurentPoly.zero()
         row = work[i]
-        col = None
-        for c, v in row.items():
-            if v.is_unit_monomial() and (col is None or position[c] < position[col]):
-                col = c
-        if col is None:
+        units = [(len(holders[j]), j) for j, v in row.items()
+                 if len(v) == 1 and abs(*v.values()) == 1]
+        if not units:
             continue  # queued again if a later pivot changes the row
-        match[i] = position[col]
-        for c in row:
-            holders[c].discard(i)
-        ((e, sign),) = row.pop(col).terms.items()
+        _, col = min(units)
+        match[i] = col
+        for j in row:
+            holders[j].discard(i)
+        ((e, sign),) = row.pop(col).items()
         pivots.append(e)
         unit_sign *= sign
+        e0, e1, e2, e3 = e
         # row_k -= (row_k[col] / pivot) * row_i, with the pivot a signed monomial
-        inverse = (-e[0], -e[1], -e[2], -e[3])
-        scaled = [(c, v.shift(inverse, -sign)) for c, v in row.items()]
         for k in holders.pop(col):
             other = work[k]
             factor = other.pop(col)
-            for c, v in scaled:
-                delta = _times(factor, v)
-                cur = other.get(c)
+            if e0 or e1 or e2 or e3 or sign > 0:  # else the pivot is -1: factor as is
+                factor = {(f0 - e0, f1 - e1, f2 - e2, f3 - e3): -sign * c
+                          for (f0, f1, f2, f3), c in factor.items()}
+            for j, v in row.items():
+                cur = other.get(j)
                 if cur is None:
-                    other[c] = delta
-                    holders[c].add(k)
+                    other[j] = _add_product(None, factor, v, 1)
+                    holders[j].add(k)
                     continue
-                new = cur + delta
-                if new:
-                    other[c] = new
+                if cols[j] in rows[k] and cur is rows[k][cols[j]].terms:
+                    cur = dict(cur)  # first update: the input's dict stays as it is
+                cur = _drop_zeros(_add_product(cur, factor, v, 1))
+                if cur:
+                    other[j] = cur
                 else:
-                    del other[c]
-                    holders[c].discard(k)
+                    del other[j]
+                    holders[j].discard(k)
             heapq.heappush(heap, (len(other), k))
 
     core_rows = [i for i in range(len(work)) if i not in match]
     taken = set(match.values())
-    core_cols = [c for c in cols if position[c] not in taken]
-    for i, c in zip(core_rows, core_cols):
-        match[i] = position[c]
-    core = _laplace([[work[i].get(c) for c in core_cols] for i in core_rows])
+    core_cols = [j for j in range(len(cols)) if j not in taken]
+    for i, j in zip(core_rows, core_cols):
+        match[i] = j
+    core = _laplace([[work[i].get(j) for j in core_cols] for i in core_rows])
     sign = unit_sign * _permutation_sign([match[i] for i in range(len(work))])
     return core.shift(tuple(map(sum, zip(*pivots))), sign)
 
 
-def _laplace(m: List[List[Optional[LaurentPoly]]]) -> LaurentPoly:
-    """Division-free determinant of a square matrix (None for a zero entry)
-    by Laplace expansion from the bottom row up.
+def _laplace(m: List[List[Optional[Terms]]]) -> LaurentPoly:
+    """Division-free determinant of a square matrix of term dicts (None for
+    a zero entry) by Laplace expansion from the bottom row up.
 
     After the rows i..k-1 are taken, ``minors`` maps each set of k-i
     columns, as a bitmask, to the determinant of those rows on those
     columns, so each minor is computed once; a dense k x k matrix costs
     k * 2^(k-1) entry-by-minor products."""
-    minors: Dict[int, LaurentPoly] = {0: LaurentPoly.one()}
+    minors: Dict[int, Terms] = {0: {(0, 0, 0, 0): 1}}
     for row in reversed(m):
         entries = [(1 << j, v) for j, v in enumerate(row) if v]
-        grown: Dict[int, Dict] = {}
+        grown: Dict[int, Terms] = {}
         for mask, minor in minors.items():
             for bit, v in entries:
                 if mask & bit:
                     continue
                 # the entry's sign in the larger minor: -1 per column left of it
                 sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-                acc = grown.setdefault(mask | bit, {})
-                for e, c in _times(v, minor).terms.items():
-                    acc[e] = acc.get(e, 0) + sign * c
-        minors = {}
-        for mask, acc in grown.items():
-            terms = {e: c for e, c in acc.items() if c}
-            if terms:
-                minors[mask] = LaurentPoly(terms)
+                grown[mask | bit] = _add_product(grown.get(mask | bit), v, minor, sign)
+        kept = zip(grown, map(_drop_zeros, grown.values()))
+        minors = {mask: acc for mask, acc in kept if acc}
         if not minors:
             return LaurentPoly.zero()
-    return minors[(1 << len(m)) - 1]
+    return LaurentPoly(minors[(1 << len(m)) - 1])
 
 
 def determinant(matrix: AlexanderMatrix) -> LaurentPoly:

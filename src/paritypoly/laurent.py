@@ -123,17 +123,15 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return LaurentPoly({})
         out: Dict[Exps, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
+        get = out.get
+        right = other.terms.items()
+        for (a0, a1, a2, a3), c1 in self.terms.items():
+            for (b0, b1, b2, b3), c2 in right:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -160,15 +158,9 @@ class LaurentPoly:
 
     def min_exps(self) -> Exps:
         """Componentwise minimum exponent over all stored monomials."""
-        if not self.terms:
-            return _ZERO4
-        its = iter(self.terms)
-        m = list(next(its))
-        for e in its:
-            for i in range(4):
-                if e[i] < m[i]:
-                    m[i] = e[i]
-        return tuple(m)  # type: ignore[return-value]
+        if len(self.terms) < 2:  # most calls come from one-term units; zero gives _ZERO4
+            return next(iter(self.terms), _ZERO4)
+        return tuple(map(min, zip(*self.terms)))  # type: ignore[return-value]
 
     def shift(self, de: Exps, sign: int = 1) -> "LaurentPoly":
         """Multiply by sign * s^de0 t^de1 q^de2 h^de3."""
@@ -267,38 +259,23 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    @staticmethod
-    def _monomial_text(e: Exps) -> str:
-        parts = []
-        for i, v in enumerate(VARS):
-            if e[i] == 0:
-                continue
-            if e[i] == 1:
-                parts.append(v)
-            else:
-                parts.append(f"{v}^{e[i]}")
-        return "".join(parts)
-
     def to_text(self) -> str:
         """Bit-exact text form: terms ascending by (e_s, e_t, e_q, e_h)."""
         if not self.terms:
             return "0"
         pieces: List[str] = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = self._monomial_text(e)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        terms = self.terms
+        for e in sorted(terms):
+            c = terms[e]
+            es, et, eq, eh = e
+            mono = ((("s" if es == 1 else f"s^{es}") if es else "")
+                    + (("t" if et == 1 else f"t^{et}") if et else "")
+                    + (("q" if eq == 1 else f"q^{eq}") if eq else "")
+                    + (("h" if eh == 1 else f"h^{eh}") if eh else ""))
+            pieces.append((" + " if c > 0 else " - ")
+                          + (mono if abs(c) == 1 and mono else f"{abs(c)}{mono}"))
+        text = "".join(pieces)  # the first term's " + " or " - " becomes "" or "-"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_terms(self) -> List[Dict[str, int]]:
         """JSON form: [{c, s, t, q, h}, ...] in the same fixed order as text."""

@@ -238,6 +238,11 @@ def _record_core_sizes(monkeypatch):
     return sizes
 
 
+def _corpus50_and_dense_codes():
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    return codes + [random_code_of_size(random.Random(seed), 60) for seed in (1, 3, 4, 5)]
+
+
 def test_parity_alexander_makes_no_exact_div_calls(monkeypatch):
     calls = []
     exact_div = LaurentPoly.exact_div
@@ -247,12 +252,57 @@ def test_parity_alexander_makes_no_exact_div_calls(monkeypatch):
     assert calls  # the counter sees the gcd oracle divide
     calls.clear()
     sizes = _record_core_sizes(monkeypatch)
-    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
-    codes += [random_code_of_size(random.Random(seed), 60) for seed in (1, 3, 4, 5)]
-    for code in codes:
+    for code in _corpus50_and_dense_codes():
         parity_alexander(code)
     assert calls == []
     assert sorted(sizes)[-4:] == [3, 3, 3, 4]  # the dense codes leave 3x3 and 4x4 cores
+
+
+def test_unit_pivots_cut_term_products(monkeypatch):
+    """A fill-in guard: taking each unit pivot at the column the fewest live
+    rows hold (lowest position on a tie) keeps the multi-term products of
+    these codes well below the 61,943 term products that taking the lowest
+    unit column made."""
+    products = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(
+        len(a.terms) * len(LaurentPoly._coerce(b).terms)) or mul(a, b))
+    for code in _corpus50_and_dense_codes():
+        parity_alexander(code)
+    assert 0 < sum(products) < 61_943
+
+
+def _snapshot(matrix):
+    return [{c: dict(v.terms) for c, v in row.items()} for row in matrix.rows]
+
+
+def _template_snapshot():
+    return {cls: [[(role, dict(coeff.terms)) for role, coeff in row] for row in pair]
+            for cls, pair in ax.ROW_TEMPLATES.items()}
+
+
+def test_determinant_leaves_its_input_unchanged():
+    """The elimination shares the input's term dicts and copies an entry
+    only when it first changes it: neither A nor ROW_TEMPLATES may change."""
+    templates = _template_snapshot()
+    rng = random.Random(61)
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    codes += [random_code(rng, max_crossings=rng.randint(1, 12)) for _ in range(50)]
+    codes += [random_code_of_size(random.Random(seed), 60) for seed in (2, 4)]
+    for code in codes:
+        matrix = build_matrix_A(code)
+        before = _snapshot(matrix)
+        determinant(matrix)
+        parity_alexander(code)
+        assert _snapshot(matrix) == before, code.to_text()
+        assert _template_snapshot() == templates, code.to_text()
+    # one polynomial object in several rows, at entries that elimination updates
+    p, u = 1 + S * T, -S
+    m = AlexanderMatrix([{0: u, 1: p, 2: p}, {0: p, 1: u, 2: p}, {0: p, 1: p, 2: u}],
+                        list(range(3)), list(range(3)))
+    want = determinant_cofactor(m)
+    assert determinant(m) == want and not want.is_zero()
+    assert p == 1 + S * T and u == -S
 
 
 def _unit_free_entry(rng):
@@ -337,7 +387,7 @@ def _mod_det(rows, cols, point):
 def test_invariant_matches_modular_det_on_large_codes(monkeypatch):
     sizes = _record_core_sizes(monkeypatch)
     rng = random.Random(60)
-    for n, seed in ((60, 1), (60, 2), (80, 1), (80, 2)):
+    for n, seed in ((60, 1), (60, 2), (80, 1), (80, 2), (80, 3)):
         code = random_code_of_size(random.Random(seed), n)
         assert len(code.crossing_ids()) == n
         res = parity_alexander(code)

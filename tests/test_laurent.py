@@ -165,3 +165,32 @@ def test_json_round_trip():
         back = LaurentPoly.from_json_terms(a.to_json_terms())
         assert back == a
         assert back.to_text() == a.to_text()
+
+
+def _reference_text(p):
+    """The rendering rule spelled out term by term: ascending exponent
+    tuples, unit coefficients omitted before a monomial, x^1 written x."""
+    pieces = []
+    for e in sorted(p.terms):
+        c = p.terms[e]
+        mono = "".join(v if k == 1 else f"{v}^{k}" for v, k in zip("stqh", e) if k)
+        body = mono if abs(c) == 1 and mono else f"{abs(c)}{mono}"
+        sign = ("" if c > 0 else "-") if not pieces else (" + " if c > 0 else " - ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+def test_text_rendering_matches_reference():
+    rng = random.Random(11)
+    constants = leading_negatives = 0
+    for _ in range(2000):
+        terms = {}
+        for _t in range(rng.randint(1, 6)):
+            e = (0, 0, 0, 0) if rng.random() < 0.15 else tuple(rng.randint(-3, 3) for _ in range(4))
+            terms[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+        p = LaurentPoly(terms)
+        constants += (0, 0, 0, 0) in terms
+        leading_negatives += terms[min(terms)] < 0
+        assert p.to_text() == _reference_text(p), terms
+    assert ZERO.to_text() == _reference_text(ZERO) == "0"
+    assert constants > 200 and leading_negatives > 600
