@@ -27,7 +27,25 @@ paths give the same A.
 ``determinant`` divides nowhere: it pivots on the +/- monomial entries
 (unit pivots: in the sparsest row, at the unit column the fewest rows
 hold), then expands the small unit-free core that is left by a memoized
-Laplace expansion.
+Laplace expansion.  ``gcd_of_minors`` reads its minors off the same
+expansion.
+
+1 - st divides det(A) for every nonempty code.  Along the knot, z
+continues the y strand and w the x strand; at t = s^-1 every row of
+``ROW_TEMPLATES`` says that the outgoing arc is one monomial times the
+incoming arc of its strand, the step weights
+
+    class     y -> z    x -> w
+    even+     t         s
+    even-     s^-1      t^-1 = s
+    odd       h^-1      h
+    virtual   q^-1      q
+
+(the 1 - st and 1 - s^-1 t^-1 entries vanish there).  The two steps of a
+crossing multiply to 1, so weights walked once around the knot from 1 on
+any arc close up: they are a nonzero vector v with A v = 0 at t = s^-1.
+So det(A) vanishes at t = s^-1, and the kernel of that substitution is
+the ideal of 1 - st.
 """
 
 from __future__ import annotations
@@ -35,8 +53,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
@@ -323,17 +342,20 @@ def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
         match[i] = j
     core = _laplace([[work[i].get(j) for j in core_cols] for i in core_rows])
     sign = unit_sign * _permutation_sign([match[i] for i in range(len(work))])
-    return core.shift(tuple(map(sum, zip(*pivots))), sign)
+    full = core.get((1 << len(core_cols)) - 1, {})
+    return LaurentPoly(full).shift(tuple(map(sum, zip(*pivots))), sign)
 
 
-def _laplace(m: List[List[Optional[Terms]]]) -> LaurentPoly:
-    """Division-free determinant of a square matrix of term dicts (None for
-    a zero entry) by Laplace expansion from the bottom row up.
+def _laplace(m: Sequence[Sequence[Optional[Terms]]]) -> Dict[int, Terms]:
+    """Every len(m)-column minor of the rows m, by a division-free Laplace
+    expansion from the bottom row up: {column bitmask: terms}, zero minors
+    left out.  Entries are term dicts, None for a zero entry; a square m
+    has one minor, its determinant, at the full mask.
 
     After the rows i..k-1 are taken, ``minors`` maps each set of k-i
-    columns, as a bitmask, to the determinant of those rows on those
-    columns, so each minor is computed once; a dense k x k matrix costs
-    k * 2^(k-1) entry-by-minor products."""
+    columns to the determinant of those rows on those columns, so each
+    minor is computed once; a dense k x k matrix costs k * 2^(k-1)
+    entry-by-minor products."""
     minors: Dict[int, Terms] = {0: {(0, 0, 0, 0): 1}}
     for row in reversed(m):
         entries = [(1 << j, v) for j, v in enumerate(row) if v]
@@ -347,9 +369,7 @@ def _laplace(m: List[List[Optional[Terms]]]) -> LaurentPoly:
                 grown[mask | bit] = _add_product(grown.get(mask | bit), v, minor, sign)
         kept = zip(grown, map(_drop_zeros, grown.values()))
         minors = {mask: acc for mask, acc in kept if acc}
-        if not minors:
-            return LaurentPoly.zero()
-    return LaurentPoly(minors[(1 << len(m)) - 1])
+    return minors
 
 
 def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
@@ -442,91 +462,62 @@ def crossing_bounds(poly: LaurentPoly) -> Tuple[Optional[int], Optional[int]]:
 # -- gcd of minors (brute-force oracle) -------------------------------------------
 
 
-def _int_content(p: LaurentPoly) -> int:
-    return math.gcd(*(abs(c) for c in p.terms.values())) if p.terms else 0
-
-
-def _main_var(a: LaurentPoly, b: LaurentPoly) -> Optional[int]:
-    for i in range(4):
-        for p in (a, b):
-            exps = {e[i] for e in p.terms}
-            if len(exps) > 1 or (exps and exps != {0}):
-                return i
-    return None
-
-
-def _var_deg(p: LaurentPoly, i: int) -> int:
-    return max(e[i] for e in p.terms)
-
-
-def _var_coeff(p: LaurentPoly, i: int, d: int) -> LaurentPoly:
-    out = {}
+def _by_power(p: LaurentPoly, i: int) -> Dict[int, LaurentPoly]:
+    """p split by powers of variable i: {exponent: coefficient free of it}."""
+    split: Dict[int, Terms] = {}
     for e, c in p.terms.items():
-        if e[i] == d:
-            ne = list(e)
-            ne[i] = 0
-            out[tuple(ne)] = c
-    return LaurentPoly(out)
-
-
-def _var_shift(p: LaurentPoly, i: int, d: int) -> LaurentPoly:
-    sh = [0, 0, 0, 0]
-    sh[i] = d
-    return p.shift(tuple(sh))
-
-
-def _content_in(p: LaurentPoly, i: int) -> LaurentPoly:
-    g = LaurentPoly.zero()
-    for d in sorted({e[i] for e in p.terms}):
-        g = poly_gcd(g, _var_coeff(p, i, d))
-    return g
+        split.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {d: LaurentPoly(terms) for d, terms in split.items()}
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd up to unit in the Laurent ring, via a primitive pseudo-remainder
-    sequence.  Only the minor-enumeration oracle uses this; the production
-    invariant never needs polynomial gcds."""
-    a = a.canonical()
-    b = b.canonical()
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    i = _main_var(a, b)
+    """Canonical gcd in the Laurent ring: a primitive pseudo-remainder
+    sequence in the first variable that a or b holds, on both split by its
+    powers.  Only the minor-gcd oracle uses this; the production invariant
+    never needs polynomial gcds."""
+    a, b = a.canonical(), b.canonical()
+    if not (a and b):
+        return a or b
+    i = next((i for i in range(4) for p in (a, b) for e in p.terms if e[i]), None)
     if i is None:
-        ca, cb = _int_content(a), _int_content(b)
-        return LaurentPoly.const(math.gcd(ca, cb))
-    content_a, content_b = _content_in(a, i), _content_in(b, i)
-    cont = poly_gcd(content_a, content_b)
-    a = a.exact_div(content_a)
-    b = b.exact_div(content_b)
-    if _var_deg(a, i) < _var_deg(b, i):
+        return LaurentPoly.const(math.gcd(*a.terms.values(), *b.terms.values()))
+
+    def primitive(split: Dict[int, LaurentPoly]) -> Tuple[LaurentPoly, Dict[int, LaurentPoly]]:
+        content = reduce(poly_gcd, (c for _d, c in sorted(split.items())), LaurentPoly.zero())
+        if content == 1:
+            return content, split
+        return content, {d: c.exact_div(content) for d, c in split.items()}
+
+    # from here on a and b are primitive and split by powers of variable i
+    (cont_a, a), (cont_b, b) = primitive(_by_power(a, i)), primitive(_by_power(b, i))
+    cont = poly_gcd(cont_a, cont_b)
+    if max(a) < max(b):
         a, b = b, a
-    while not b.is_zero():
-        if _var_deg(b, i) == 0:
-            # a common divisor must divide a degree-0 primitive poly: coprime
-            return cont.canonical()
-        r = _pseudo_rem(a, b, i)
-        a, b = b, (r.exact_div(_content_in(r, i)) if not r.is_zero() else r)
-    return (cont * a).canonical()
-
-
-def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, i: int) -> LaurentPoly:
-    db = _var_deg(b, i)
-    lb = _var_coeff(b, i, db)
-    r = a
-    while not r.is_zero() and _var_deg(r, i) >= db:
-        dr = _var_deg(r, i)
-        lr = _var_coeff(r, i, dr)
-        r = r * lb - _var_shift(lr * b, i, dr - db)
-    return r
+    while b:
+        db = max(b)
+        if db == 0:
+            return cont  # a common divisor must divide a degree-0 primitive poly: coprime
+        while a and max(a) >= db:  # a becomes its pseudo-remainder by b
+            da = max(a)
+            lead = a[da]
+            a = {d: c * b[db] for d, c in a.items()}
+            for d, c in b.items():
+                a[d + da - db] = a.get(d + da - db, LaurentPoly.zero()) - lead * c
+            a = {d: c for d, c in a.items() if c}
+        a, b = b, (primitive(a)[1] if a else {})
+    joined = {e[:i] + (d,) + e[i + 1:]: c for d, p in a.items() for e, c in p.terms.items()}
+    return (cont * LaurentPoly(joined)).canonical()
 
 
 def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
     """Canonical gcd of all corank-1 minors, by enumeration.
 
-    Brute force: intended for matrices of dimension <= 8 only.  The gcd of
-    an all-zero (or empty) minor set is the zero polynomial.
+    One ``_laplace`` pass per choice of k = min(size) - 1 rows gives every
+    k-column minor of those rows.  Zero minors never appear, and each pass
+    folds its minors in by ascending term count, so that the gcd shrinks
+    before it meets the larger ones.  Brute force: intended for matrices of
+    dimension <= 8 only.  The gcd of an all-zero (or empty) minor set is the
+    zero polynomial.
     """
     n_rows, n_cols = matrix.size
     k = min(n_rows, n_cols) - 1
@@ -534,18 +525,14 @@ def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
         raise ValueError("gcd_of_minors is a brute-force oracle; dimension > 8 refused")
     if k <= 0:
         return LaurentPoly.one()
+    grid = [[r[c].terms if c in r else None for c in matrix.cols] for r in matrix.rows]
     g = LaurentPoly.zero()
-    for rsel in combinations(range(n_rows), k):
-        for csel in combinations(matrix.cols, k):
-            sub = AlexanderMatrix(
-                [{c: matrix.rows[r][c] for c in csel if c in matrix.rows[r]} for r in rsel],
-                [matrix.row_labels[r] for r in rsel],
-                list(csel),
-            )
-            g = poly_gcd(g, determinant(sub))
+    for rows in combinations(grid, k):
+        for minor in sorted(_laplace(rows).values(), key=len):
+            g = poly_gcd(g, LaurentPoly(minor))
             if g == 1:
                 return g
-    return g.canonical()
+    return g
 
 
 # -- skein triples ------------------------------------------------------------------
@@ -627,19 +614,40 @@ class SymmetryReport:
 
 
 def check_symmetries(code: DiagramCode) -> SymmetryReport:
-    """Verify, up to unit: reverse keeps the invariant; switch inverts s,t;
-    flip inverts q,h; switched flip inverts all four."""
+    """Verify each operation's law, a map on the exponents (s, t, q, h) of
+    the invariant, up to unit.  The laws follow from ``ROW_TEMPLATES``:
+
+    - reverse inverts s, t, q and h.  It keeps each crossing's class and X
+      strand and swaps x with w, y with z.  Rewritten in the old arcs, each
+      class's two relations are its template with all four inverted, up to
+      row operations of unit determinant (even+: y = (1-st) w + t z and
+      x = s w give z = (1 - s^-1 t^-1) x + t^-1 y and w = s^-1 x).
+    - switched_flip inverts all four.  It negates signs and toggles frames,
+      so X becomes the other strand at every crossing (x with y, z with w)
+      and even+ trades with even-: read in the old roles, each new template
+      is the old one with all four inverted and its two rows swapped.
+    - switch swaps s and t and inverts q and h.  The row of arc x in A^T
+      holds A[z, x] and A[w, x]: read as the relation that ends on x, the
+      reversed diagram's w.  So A^T is a matrix of reverse(K) in which each
+      even+ crossing carries the even- template under s -> t^-1, t -> s^-1
+      (z = t y, w = s x + (1-st) y), each even- crossing the even+ one, and
+      odd and virtual crossings their own.  Hence det A(switch(reverse(K)))
+      is det A(K) under that map, and with the reverse law the switch law
+      follows.
+    - flip, which is switch after switched_flip, maps s -> t^-1 and
+      t -> s^-1 and keeps q and h.
+    """
     base = parity_alexander(code).canonical
     expect = {
-        "reverse": (reverse, ()),
-        "switch": (switch, ("s", "t")),
-        "flip": (flip, ("q", "h")),
-        "switched_flip": (switched_flip, ("s", "t", "q", "h")),
+        "reverse": (reverse, lambda s, t, q, h: (-s, -t, -q, -h)),
+        "switch": (switch, lambda s, t, q, h: (t, s, -q, -h)),
+        "flip": (flip, lambda s, t, q, h: (-t, -s, q, h)),
+        "switched_flip": (switched_flip, lambda s, t, q, h: (-s, -t, -q, -h)),
     }
     outcomes = {}
-    for name, (op, inverted) in expect.items():
+    for name, (op, law) in expect.items():
         got = parity_alexander(op(code)).canonical
-        want = base.substitute_inverses(inverted).canonical()
+        want = LaurentPoly({law(*e): c for e, c in base.terms.items()}).canonical()
         outcomes[name] = got == want
     return SymmetryReport(base, outcomes)
 

@@ -79,10 +79,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -205,15 +201,6 @@ class LaurentPoly:
         i = VAR_INDEX[variable]
         exps = [e[i] for e in self.terms]
         return max(exps) - min(exps)
-
-    def substitute_inverses(self, variables: Iterable[str]) -> "LaurentPoly":
-        """Negate the exponent of each listed variable in every monomial."""
-        idxs = {VAR_INDEX[v] for v in variables}
-        out: Dict[Exps, int] = {}
-        for e, c in self.terms.items():
-            ne = tuple(-x if i in idxs else x for i, x in enumerate(e))
-            out[ne] = c  # exponent map is a bijection, no collisions
-        return LaurentPoly(out)
 
     # -- exact division ----------------------------------------------------
 

@@ -6,7 +6,8 @@ knots are the published ones.  The named fixtures are documented stand-ins
 match each entry's classical crossing count and odd/even parity profile;
 criteria that compare against the published values report honestly against
 those stand-ins.  Which criteria cannot be met, and why, is open as
-ROADMAP item 5 (the acceptance convention audit).
+ROADMAP item 4 (the acceptance convention audit); one reason is stated by
+``test_which_references_vanish_at_t_equals_inverse_s``.
 """
 
 import time
@@ -46,6 +47,18 @@ REFERENCE_POLYS = {
 }
 REFERENCE_WIDTHS = {"3.1": (2, 2), "4.7": (2, 0), "4.9": (2, 0), "6.32008": (2, 1)}
 REFERENCE_BOUNDS = {"3.1": (1, 1), "4.7": (1, 0), "4.9": (1, 0), "6.32008": (1, 1)}
+
+
+def test_which_references_vanish_at_t_equals_inverse_s():
+    """1 - st divides the invariant of every nonempty code (the strand-weight
+    law of the alexander docstring), so no diagram reaches a reference value
+    that does not vanish at t = s^-1: those of 3.1 and 4.7."""
+    at_t_inverse_s = {
+        name: sum((LaurentPoly.term(c, es - et, 0, eq, eh)
+                   for (es, et, eq, eh), c in poly.terms.items()), LaurentPoly.zero())
+        for name, poly in REFERENCE_POLYS.items()}
+    assert {name: p.is_zero() for name, p in at_t_inverse_s.items()} == {
+        "3.1": False, "4.7": False, "4.9": True, "6.32008": True}
 
 
 def named_knots():

@@ -1,6 +1,7 @@
 """Relators, matrices, determinants, the invariant and its reports."""
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,79 @@ def test_gcd_of_minors_rejects_large():
         gcd_of_minors(AlexanderMatrix(rows, list(range(9)), list(range(9))))
 
 
+def _sparse_minor_entry(rng):
+    if rng.random() < 0.5:
+        return None
+    e = tuple(rng.randint(-1, 1) for _ in range(4))
+    if rng.random() < 0.6:
+        return LaurentPoly({e: rng.choice([1, -1])})
+    return rng.choice([LaurentPoly.const(2), 1 - S * T, 1 + Q, 3 * T, H - 2]).shift(e)
+
+
+def _minor_cases():
+    """M and A of every code with at most 2 crossings, then seeded sparse
+    square and non-square matrices."""
+    codes = enumerate_small_codes() + [parse_diagram("")]
+    cases = [m for code in codes for m in (build_full_matrix_M(code), build_matrix_A(code))
+             if min(m.size) >= 1]
+    rng = random.Random(62)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [{j: v for j in range(n_cols) for v in [_sparse_minor_entry(rng)] if v}
+                for _i in range(n_rows)]
+        cases.append(AlexanderMatrix(rows, list(range(n_rows)), list(range(n_cols))))
+    return cases
+
+
+def _cofactor_minors(matrix, rsel, k):
+    """{column bitmask: minor} of the rows rsel over every k columns, each
+    minor by cofactor expansion of its sub-grid."""
+    out = {}
+    for csel in combinations(range(len(matrix.cols)), k):
+        cols = [matrix.cols[j] for j in csel]
+        sub = AlexanderMatrix([{c: matrix.rows[r][c] for c in cols if c in matrix.rows[r]}
+                               for r in rsel], list(rsel), cols)
+        out[sum(1 << j for j in csel)] = determinant_cofactor(sub)
+    return out
+
+
+def test_gcd_of_minors_and_laplace_minors_match_cofactor_reference():
+    """Every corank-1 minor by cofactor expansion, folded with poly_gcd, is
+    the reference for gcd_of_minors; the same minors, zero ones left out,
+    are the reference for _laplace's minors of each row choice."""
+    zero_minors = non_square = 0
+    for matrix in _minor_cases():
+        n_rows, n_cols = matrix.size
+        non_square += n_rows != n_cols
+        k = min(n_rows, n_cols) - 1
+        grid = [[r[c].terms if c in r else None for c in matrix.cols] for r in matrix.rows]
+        want = ZERO
+        for rsel in combinations(range(n_rows), k):
+            minors = _cofactor_minors(matrix, rsel, k)
+            zero_minors += sum(1 for v in minors.values() if not v)
+            assert ax._laplace([grid[r] for r in rsel]) == {
+                mask: v.terms for mask, v in minors.items() if v}, (matrix.rows, rsel)
+            for v in minors.values():
+                want = poly_gcd(want, v)
+        assert gcd_of_minors(matrix) == want, matrix.rows
+    assert zero_minors > 1000 and non_square > 100
+
+
+def test_gcd_of_minors_reads_minors_off_laplace(monkeypatch):
+    """A cost guard: on a 7x7 M, one _laplace pass per choice of 6 rows and
+    no determinant of a sub-matrix."""
+    code = parse_diagram("O1+ U2+ U1+ O2+")
+    matrix = build_full_matrix_M(code)
+    assert matrix.size == (7, 7)
+    laplace_calls, det_calls = [], []
+    laplace, det = ax._laplace, ax.determinant
+    monkeypatch.setattr(ax, "_laplace", lambda m: laplace_calls.append(len(m)) or laplace(m))
+    monkeypatch.setattr(ax, "determinant", lambda m: det_calls.append(m) or det(m))
+    g = gcd_of_minors(matrix)
+    assert det_calls == [] and laplace_calls == [6] * 7
+    assert g.equal_up_to_unit(det(build_matrix_A(code)))
+
+
 def test_prop1_on_samples():
     for text in ("O1+ U1+", "V1x V1y", "O1+ U2+ U1+ O2+", "O1+ O2+ U1+ U2+",
                  "V1x O2- V1y U2-"):
@@ -597,6 +671,47 @@ def test_check_symmetries_samples():
                  "O1+ V2x U1+ V2y"):
         rep = check_symmetries(parse_diagram(text))
         assert rep.all_hold(), (text, rep.outcomes)
+
+
+def test_symmetry_laws_on_larger_codes():
+    """All four laws hold on seeded 6-12-crossing codes and on both
+    realizations of the table knots, codes large enough that a wrong law
+    fails on many of them."""
+    codes = [random_code_of_size(random.Random(n), n) for n in range(6, 13) for _ in range(3)]
+    rng = random.Random(63)
+    codes += [random_code_of_size(rng, rng.randint(6, 12)) for _ in range(40)]
+    codes += [realize(g, strategy) for _name, g in
+              parse_gauss_file((FIXTURES / "table_knots.gauss").read_text())
+              for strategy in (0, 1)]
+    for code in codes:
+        rep = check_symmetries(code)
+        assert rep.all_hold(), (code.to_text(), rep.outcomes)
+
+
+def _at_t_inverse_s(p):
+    """p with t = s^-1."""
+    out = LaurentPoly.zero()
+    for (es, et, eq, eh), c in p.terms.items():
+        out = out + LaurentPoly.term(c, es - et, 0, eq, eh)
+    return out
+
+
+def test_invariant_vanishes_at_t_equals_inverse_s():
+    """1 - st divides the invariant of every nonempty code: the strand
+    weights of the alexander docstring are a null vector of A at t = s^-1."""
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    codes += enumerate_small_codes()
+    rng = random.Random(64)
+    codes += [random_code(rng, max_crossings=rng.randint(1, 10),
+                          p_virtual=rng.choice([0.0, 0.3, 0.6])) for _ in range(300)]
+    nonzero = 0
+    for code in codes:
+        if not code.passes:
+            continue
+        canonical = parity_alexander(code).canonical
+        nonzero += not canonical.is_zero()
+        assert _at_t_inverse_s(canonical).is_zero(), code.to_text()
+    assert nonzero > 100
 
 
 def test_group_presentation():

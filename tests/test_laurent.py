@@ -113,16 +113,6 @@ def test_equal_up_to_unit():
         assert a.equal_up_to_unit(a * u) and (a * u).equal_up_to_unit(a)
 
 
-def test_substitute_inverses():
-    assert (1 - Q ** 2).substitute_inverses({"q"}) == 1 - Q1 * Q1
-    p = S * T + H
-    assert p.substitute_inverses({"s", "t"}) == S1 * T1 + H
-    rng = random.Random(5)
-    for _ in range(20):
-        a = rand_poly(rng)
-        assert a.substitute_inverses({"s", "q"}).substitute_inverses({"s", "q"}) == a
-
-
 def test_exact_div():
     num = (1 - S * T) * (Q + H)
     assert num.exact_div(1 - S * T) == Q + H
