@@ -53,9 +53,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
@@ -64,7 +63,7 @@ from .diagram import (
     switch, flip, reverse, switched_flip,
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
-from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, LaurentPoly
+from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, LaurentPoly
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
@@ -470,11 +469,29 @@ def _by_power(p: LaurentPoly, i: int) -> Dict[int, LaurentPoly]:
     return {d: LaurentPoly(terms) for d, terms in split.items()}
 
 
+def _gcd_fold(polys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Canonical gcd of polys in order, stopped at 1.  gcd(g, p) is g exactly
+    when g divides p, so such a p costs one exact_div instead of a gcd."""
+    g = LaurentPoly.zero()
+    for p in polys:
+        if g:
+            try:
+                p.exact_div(g)
+                continue
+            except InexactDivision:
+                pass
+        g = poly_gcd(g, p)
+        if g == 1:
+            break
+    return g
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Canonical gcd in the Laurent ring: a primitive pseudo-remainder
     sequence in the first variable that a or b holds, on both split by its
     powers.  Only the minor-gcd oracle uses this; the production invariant
-    never needs polynomial gcds."""
+    never needs polynomial gcds.  Coefficients grow along the sequence: a
+    coprime pair of 6-term four-variable minors can take minutes."""
     a, b = a.canonical(), b.canonical()
     if not (a and b):
         return a or b
@@ -483,7 +500,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.const(math.gcd(*a.terms.values(), *b.terms.values()))
 
     def primitive(split: Dict[int, LaurentPoly]) -> Tuple[LaurentPoly, Dict[int, LaurentPoly]]:
-        content = reduce(poly_gcd, (c for _d, c in sorted(split.items())), LaurentPoly.zero())
+        content = _gcd_fold(c for _d, c in sorted(split.items()))
         if content == 1:
             return content, split
         return content, {d: c.exact_div(content) for d, c in split.items()}
@@ -514,10 +531,10 @@ def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
 
     One ``_laplace`` pass per choice of k = min(size) - 1 rows gives every
     k-column minor of those rows.  Zero minors never appear, and each pass
-    folds its minors in by ascending term count, so that the gcd shrinks
-    before it meets the larger ones.  Brute force: intended for matrices of
-    dimension <= 8 only.  The gcd of an all-zero (or empty) minor set is the
-    zero polynomial.
+    hands its minors to ``_gcd_fold`` by ascending term count, so that the
+    gcd shrinks before it meets the larger ones.  Brute force: intended for
+    matrices of dimension <= 8 only.  The gcd of an all-zero (or empty)
+    minor set is the zero polynomial.
     """
     n_rows, n_cols = matrix.size
     k = min(n_rows, n_cols) - 1
@@ -526,13 +543,8 @@ def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
     if k <= 0:
         return LaurentPoly.one()
     grid = [[r[c].terms if c in r else None for c in matrix.cols] for r in matrix.rows]
-    g = LaurentPoly.zero()
-    for rows in combinations(grid, k):
-        for minor in sorted(_laplace(rows).values(), key=len):
-            g = poly_gcd(g, LaurentPoly(minor))
-            if g == 1:
-                return g
-    return g
+    return _gcd_fold(LaurentPoly(minor) for rows in combinations(grid, k)
+                     for minor in sorted(_laplace(rows).values(), key=len))
 
 
 # -- skein triples ------------------------------------------------------------------

@@ -121,10 +121,11 @@ def cmd_batch(args) -> int:
     and the stream goes on.  Exit 2 if any line hit an internal error, else
     1 if any line failed."""
     path = Path(args.table)
+    text = path.read_text(encoding="utf-8")  # before --out is opened and truncated
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     failed = internal = False
     try:
-        for lineno, name, body in gauss_lines(path.read_text(encoding="utf-8")):
+        for lineno, name, body in gauss_lines(text):
             name = name or f"{path.stem}[{lineno}]"
             try:
                 code = realize(parse_gauss(body))

@@ -228,7 +228,8 @@ class LaurentPoly:
             cr = rem[lead_r]
             de = tuple(lead_r[i] - lead_b[i] for i in range(4))
             if any(x < 0 for x in de) or cr % cb != 0:
-                raise InexactDivision(f"{self!r} is not divisible by {divisor!r}")
+                raise InexactDivision(f"a {len(self.terms)}-term polynomial is not "
+                                      f"divisible by a {len(divisor.terms)}-term one")
             cq = cr // cb
             quo[de] = cq
             for e, c in b.terms.items():

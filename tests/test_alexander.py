@@ -1,6 +1,7 @@
 """Relators, matrices, determinants, the invariant and its reports."""
 
 import random
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from paritypoly.diagram import (
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
 from paritypoly.realize import parse_gauss_file, realize
-from paritypoly.verify import enumerate_small_codes
+from paritypoly.verify import enumerate_small_codes, suite_prop1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -448,6 +449,56 @@ def test_poly_gcd():
     assert poly_gcd(ZERO, ZERO) == ZERO
 
 
+def _small_factor(rng):
+    p = ZERO
+    for _ in range(rng.randint(1, 3)):
+        p = p + LaurentPoly.term(rng.choice([-2, -1, 1, 3]), *(rng.randint(-1, 1) for _ in range(4)))
+    return p or ONE
+
+
+def test_poly_gcd_keeps_a_common_factor():
+    rng = random.Random(71)
+    for _ in range(300):
+        x, y, c = _small_factor(rng), _small_factor(rng), _small_factor(rng)
+        g = poly_gcd(x * c, y * c)
+        (x * c).exact_div(g)  # raises InexactDivision unless g divides both
+        (y * c).exact_div(g)
+        g.exact_div(c)
+
+
+def test_gcd_fold_equals_pairwise_reduce():
+    """Repeated, divisible and coprime entries: skipping what the running
+    gcd divides gives the reduce of poly_gcd over the whole list."""
+    rng = random.Random(72)
+    pool = [1 - S * T, 1 + Q, H - 2, S - 1, LaurentPoly.const(2), 3 * T, Q * H + S, S - T]
+    for _ in range(150):
+        c = rng.choice(pool + [ONE])
+        polys = [c * rng.choice(pool) * rng.choice(pool + [ONE]) for _ in range(rng.randint(0, 6))]
+        polys += [rng.choice(polys) for _ in range(rng.randint(0, 2)) if polys]
+        polys.insert(rng.randint(0, len(polys)), rng.choice([ZERO, c, rng.choice(pool)]))
+        assert ax._gcd_fold(polys) == reduce(poly_gcd, polys, ZERO), polys
+
+
+def test_gcd_of_minors_does_not_depend_on_minor_order(monkeypatch):
+    """Each pass's minors come out of _laplace in a seeded shuffled order,
+    so the fold meets minors of equal term count in a different order.  A
+    fully shuffled order is not tried: it can put two large coprime minors
+    first, and poly_gcd may take minutes on such a pair."""
+    want = [gcd_of_minors(matrix) for matrix in _minor_cases()]
+    laplace, rng = ax._laplace, random.Random()
+
+    def shuffled(m):
+        minors = list(laplace(m).items())
+        rng.shuffle(minors)
+        return dict(minors)
+
+    monkeypatch.setattr(ax, "_laplace", shuffled)
+    for seed in (1, 2, 3):
+        rng.seed(seed)
+        got = [gcd_of_minors(matrix) for matrix in _minor_cases()]
+        assert got == want, seed
+
+
 def test_gcd_of_minors_zero_matrix():
     m = AlexanderMatrix([{}, {}], ["a", "b"], [0, 1])
     assert gcd_of_minors(m) == ZERO
@@ -530,6 +581,17 @@ def test_gcd_of_minors_reads_minors_off_laplace(monkeypatch):
     g = gcd_of_minors(matrix)
     assert det_calls == [] and laplace_calls == [6] * 7
     assert g.equal_up_to_unit(det(build_matrix_A(code)))
+
+
+def test_prop1_suite_skips_minors_the_running_gcd_divides(monkeypatch):
+    """A cost guard: suite_prop1 on the small codes needs few polynomial
+    gcds, since most minors are divisible by the gcd of the earlier ones."""
+    calls = []
+    gcd = ax.poly_gcd
+    monkeypatch.setattr(ax, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    report = suite_prop1(())
+    assert report.passed and len(report.checks) == 114
+    assert 0 < len(calls) <= 1000
 
 
 def test_prop1_on_samples():

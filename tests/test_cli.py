@@ -109,6 +109,14 @@ def test_batch_empty(capsys, tmp_path):
     assert rc == 0 and out == ""
 
 
+def test_batch_keeps_out_file_when_table_is_missing(capsys, tmp_path):
+    keep = tmp_path / "keep.jsonl"
+    keep.write_text('{"name": "earlier"}\n')
+    rc, _out, err = run(capsys, "batch", tmp_path / "missing.gauss", "--out", keep)
+    assert rc == 1 and err.startswith("error: ")
+    assert keep.read_text() == '{"name": "earlier"}\n'
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     f = tmp_path / "bad.vkd"
     f.write_text("code: O1+ U1-\n")

@@ -140,6 +140,13 @@ def test_exact_div_inexact():
     assert ZERO.exact_div(1 + Q) == ZERO
 
 
+def test_exact_div_inexact_with_huge_coefficient():
+    # the message must not render the operands: this coefficient has more
+    # digits than Python's int-to-str limit
+    with pytest.raises(InexactDivision, match="2-term"):
+        LaurentPoly({(0, 0, 0, 0): 10 ** 5000 + 1, (1, 0, 0, 0): 1}).exact_div(2)
+
+
 def test_text_rendering():
     assert (1 - Q ** 2).to_text() == "1 - q^2"
     assert ZERO.to_text() == "0"
