@@ -24,6 +24,28 @@ oracle path builds words (``crossing_relators``) and differentiates them
 presentation view and the tests use it, and the tests check that both
 paths give the same A.
 
+``parity_alexander`` folds the virtual crossings away first, so that its
+matrix K has two rows per classical crossing.  A virtual crossing's rows
+say z = q^-1 y and w = q x, so ``fold_virtual`` writes every arc as q^k
+times its classical segment, the arc that leaves the last classical pass
+before it, and ``build_matrix_A`` of the folded table puts those q^k on the
+x and y entries of the classical rows.  Order the rows and columns of A by
+row target (each arc is the target of one row), so that -1 runs down the
+diagonal.  The virtual rows on their target columns are then -I plus a
+nilpotent part, as each chain of virtual arcs starts at a segment, of
+determinant (-1)^(2v) = 1, and eliminating them substitutes q^k times the
+segment for each virtual arc: K is their Schur complement.  So
+
+    det A = eps * det K,   eps = sgn(sigma_A) * sgn(sigma_K),
+
+with sigma taking each row to the position of its target among the
+matrix's ascending columns.  With no classical crossing the strand weights
+close up at q^v q^-v = 1, a null vector of A, so det A = 0; the empty code
+has the 0 x 0 matrix and det 1.  At h = q the odd template is the virtual
+one, so the invariant at h = q is that of the code with its odd crossings
+made virtual, framed on their X pass, whenever that keeps every even
+crossing even.
+
 ``determinant`` divides nowhere: it pivots on the +/- monomial entries
 (unit pivots: in the sparsest row, at the unit column the fewest rows
 hold), then expands the small unit-free core that is left by a memoized
@@ -46,6 +68,18 @@ crossing multiply to 1, so weights walked once around the knot from 1 on
 any arc close up: they are a nonzero vector v with A v = 0 at t = s^-1.
 So det(A) vanishes at t = s^-1, and the kernel of that substitution is
 the ideal of 1 - st.
+
+The skein relation D+ - st D- = (1 - st) Dv (``check_even_skein``) follows
+from the z and w templates alone.  Write D(u, v) for det A with the
+crossing's z row set to u and its w row to v, and a, b for its -1 entries
+on z and w; D is bilinear, D(x, x) = D(y, y) = 0 and D(y, x) = -D(x, y):
+
+    D+     = D(a + (1-st) x + t y, b + s x)
+           = D(a,b) + s D(a,x) + (1-st) D(x,b) + t D(y,b) - st D(x,y)
+    st D-  = st D(a + s^-1 y, b + t^-1 x + (1 - s^-1 t^-1) y)
+           = st D(a,b) + s D(a,x) - (1-st) D(a,y) + t D(y,b) - D(x,y)
+    D+ - st D- = (1-st) (D(a,b) + D(x,b) + D(a,y) + D(x,y))
+               = (1-st) D(a + x, b + y) = (1-st) Dv.
 """
 
 from __future__ import annotations
@@ -184,12 +218,14 @@ _MINUS_ONE = LaurentPoly.const(-1)
 
 def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]]:
     """The z and w rows of one crossing under ROW_TEMPLATES[template]."""
-    incoming = {"x": c.x_in, "y": c.y_in}
+    incoming = {"x": (c.x_in, c.x_q), "y": (c.y_in, c.y_q)}
     rows = []
     for target, entries in zip((c.z_out, c.w_out), ROW_TEMPLATES[template]):
         row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
         for role, coeff in entries:
-            col = incoming[role]
+            col, q = incoming[role]
+            if q:
+                coeff = coeff.shift((0, 0, q, 0))
             row[col] = row[col] + coeff if col in row else coeff
         rows.append({c: v for c, v in row.items() if v})
     return rows
@@ -197,10 +233,13 @@ def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]
 
 def build_matrix_A(code: DiagramCode,
                    table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
-    """2n x 2n matrix A read off ROW_TEMPLATES: one column per arc, rows by
-    ascending crossing id, z before w; entries on coinciding arcs add and
-    zero entries are dropped.  ``table`` is ``crossings(code)`` when the
-    caller has it.  fox_matrix_A builds the same matrix from Fox
+    """Square matrix read off ROW_TEMPLATES, two rows per crossing of the
+    table: rows by ascending crossing id, z before w, and one column per
+    row target, ascending; entries on coinciding arcs add and zero entries
+    are dropped.  ``table`` is ``crossings(code)`` when the caller has it,
+    or a table folded by ``fold_virtual``, whose x and y entries are
+    shifted by q^x_q and q^y_q.  For ``crossings(code)`` this is the
+    2n x 2n matrix A over the arcs 1..n, which fox_matrix_A builds from Fox
     derivatives."""
     if table is None:
         table = crossings(code)
@@ -209,7 +248,57 @@ def build_matrix_A(code: DiagramCode,
     for c in table:
         rows += _template_rows(c, c.cls)
         labels += [(c.cid, "z"), (c.cid, "w")]
-    return AlexanderMatrix(rows, labels, list(range(1, len(code.passes) + 1)))
+    return AlexanderMatrix(rows, labels, sorted(t for c in table for t in (c.z_out, c.w_out)))
+
+
+def fold_virtual(table: List[Crossing]) -> Tuple[List[Crossing], int]:
+    """(folded, sign): the classical crossings of ``table`` on classical
+    segments, with det A = sign * det build_matrix_A(code, folded).
+
+    A virtual crossing's rows say z = q^-1 y and w = q x (ROW_TEMPLATES),
+    one monomial step along each strand.  Walking the arcs once composes
+    those steps, so that every arc is q^k times its segment, the arc that
+    leaves the last classical pass before it.  Each classical crossing
+    keeps its outgoing arcs, which are segments, and gets its incoming
+    arcs as segments with their q-exponents in x_q and y_q.  sign is
+    sgn(sigma_A) * sgn(sigma_K), sigma taking each row of the full and of
+    the folded matrix to the position of its target column (see the module
+    docstring); it is 0 when no classical crossing is left, as the virtual
+    cycle then closes with weight 1.  A table without virtual crossings is
+    returned as it is, with sign 1.
+    """
+    (((_, to_z),), ((_, to_w),)) = ROW_TEMPLATES["virtual"]
+    (z_step,), (w_step,) = to_z.terms, to_w.terms
+    step: Dict[int, int] = {}  # outgoing arc of a virtual pass -> its q-step
+    for c in table:
+        if c.cls == "virtual":
+            step[c.z_out] = z_step[2]
+            step[c.w_out] = w_step[2]
+    if not step:
+        return table, 1
+    classical = [c for c in table if c.cls != "virtual"]
+    if not classical:
+        return classical, 0
+    n = 2 * len(table)  # arc a + 1 follows arc a along the knot, arc 1 follows arc n
+    segment: Dict[int, Tuple[int, int]] = {}
+    head = start = classical[0].z_out
+    q = 0
+    for a in range(start, start + n):
+        a = a - n if a > n else a
+        if a in step:
+            q += step[a]
+        else:
+            head, q = a, 0
+        segment[a] = (head, q)
+    folded = []
+    for c in classical:
+        (x, x_q), (y, y_q) = segment[c.x_in], segment[c.y_in]
+        folded.append(Crossing(c.cid, c.cls, x, y, c.z_out, c.w_out, x_q, y_q))
+    kept = [t for c in classical for t in (c.z_out, c.w_out)]
+    rank = {t: j for j, t in enumerate(sorted(kept))}
+    sign = (_permutation_sign([t - 1 for c in table for t in (c.z_out, c.w_out)])
+            * _permutation_sign([rank[t] for t in kept]))
+    return folded, sign
 
 
 # -- exact determinants --------------------------------------------------------
@@ -425,14 +514,16 @@ class InvariantResult:
 def parity_alexander(code: DiagramCode) -> InvariantResult:
     """Canonical invariant of a diagram code, with widths and crossing counts.
 
-    Computed as det(A) of build_matrix_A, no Fox derivatives involved; the
-    gcd-of-minors definition agrees up to unit and is kept as the
-    small-instance oracle gcd_of_minors.  The empty code has a 0x0 matrix
-    and canonical invariant 1.
+    Computed as det(A) = eps * det(K), K the build_matrix_A of the table
+    that fold_virtual leaves (see the module docstring), no Fox
+    derivatives involved; the gcd-of-minors definition agrees up to unit
+    and is kept as the small-instance oracle gcd_of_minors.  The empty
+    code has a 0x0 matrix and canonical invariant 1.
     """
     table = crossings(code)
-    det = determinant(build_matrix_A(code, table))
-    canonical, unit = det.canonicalize()
+    folded, sign = fold_virtual(table)
+    det = determinant(build_matrix_A(code, folded)) if sign else LaurentPoly.zero()
+    canonical, unit = (det if sign > 0 else -det).canonicalize()
     zero = canonical.is_zero()
     kinds = [c.cls for c in table]
     return InvariantResult(
@@ -450,8 +541,10 @@ def crossing_bounds(poly: LaurentPoly) -> Tuple[Optional[int], Optional[int]]:
     """(virtual lower bound, odd lower bound) from the q/h widths.
 
     The q width bounds twice the virtual crossing number and the h width
-    twice the odd crossing number; the zero polynomial carries no
-    information and yields (None, None).
+    twice the odd crossing number of the knot, for the invariant of a
+    planar code; the invariant of a non-planar code is in general no
+    knot's, and its widths bound only that code's own counts.  The zero
+    polynomial carries no information and yields (None, None).
     """
     if poly.is_zero():
         return None, None

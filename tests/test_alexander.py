@@ -16,7 +16,8 @@ from paritypoly.alexander import (
     fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
 from paritypoly.diagram import (
-    DiagramError, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
+    OVER, VIRTUAL, DiagramCode, DiagramError, Pass,
+    crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
 from paritypoly.realize import parse_gauss_file, realize
@@ -99,17 +100,23 @@ def test_virtual_row_templates():
     assert w_row == {4: Q, 1: LaurentPoly.const(-1)}
 
 
-def test_template_matrix_matches_fox_oracle():
+def _oracle_codes():
+    """Fixtures, both realizations of the table knots, the small codes, 500
+    seeded codes and the codes with no classical crossing."""
     codes = [code for name in ("corpus50.vkd", "triangle_moves.vkd")
              for _name, code in parse_vkd((FIXTURES / name).read_text())]
-    codes += [realize(g) for _name, g in
+    codes += [realize(g, strategy=strategy) for strategy in (0, 1) for _name, g in
               parse_gauss_file((FIXTURES / "table_knots.gauss").read_text())]
     codes += enumerate_small_codes()  # kinks and every 1-crossing flavour
-    codes.append(parse_diagram(""))
+    codes += [parse_diagram(text) for text in ("", "V1x V1y", "V1x V2x V1y V2y")]
     rng = random.Random(56)
     codes += [random_code(rng, max_crossings=rng.choice([3, 6, 10]),
                           p_virtual=rng.choice([0.0, 0.4, 0.8])) for _ in range(500)]
-    for code in codes:
+    return codes
+
+
+def test_template_matrix_matches_fox_oracle():
+    for code in _oracle_codes():
         assert build_matrix_A(code) == fox_matrix_A(code), code.to_text()
 
 
@@ -126,12 +133,74 @@ def test_parity_alexander_makes_no_fox_derivative_calls(monkeypatch):
 
 
 def test_parity_alexander_equals_oracle_determinant():
+    """The folded determinant, signed by eps, is det A exactly: the
+    canonical form and the unit both agree with the Fox oracle's A."""
     rng = random.Random(57)
-    for _ in range(80):
-        code = random_code(rng, max_crossings=8)
+    for code in _oracle_codes() + [random_code(rng, max_crossings=8) for _ in range(80)]:
         res = parity_alexander(code)
         canonical, unit = determinant(fox_matrix_A(code)).canonicalize()
         assert (res.canonical, res.unit) == (canonical, unit), code.to_text()
+
+
+def test_parity_alexander_builds_two_rows_per_classical_crossing(monkeypatch):
+    shapes = []
+    build = ax.build_matrix_A
+
+    def recorded(code, table=None):
+        matrix = build(code, table)
+        shapes.append(matrix.size)
+        return matrix
+
+    monkeypatch.setattr(ax, "build_matrix_A", recorded)
+    trefoil = parse_gauss_file((FIXTURES / "knot3_1.gauss").read_text())[0][1]
+    realized = [realize(trefoil, strategy=strategy) for strategy in (0, 1)]
+    assert [len(code.virtual_ids()) for code in realized] == [15, 13]
+    for code in realized:
+        parity_alexander(code)
+    assert shapes == [(6, 6), (6, 6)]
+    rng = random.Random(58)
+    for _ in range(100):
+        code = random_code(rng, max_crossings=8, p_virtual=0.6)
+        shapes.clear()
+        parity_alexander(code)
+        n = 2 * len(code.signs)
+        assert shapes == ([(n, n)] if code.signs or not code.passes else []), code.to_text()
+    assert ax.fold_virtual(crossings(parse_diagram("V1x V2x V1y V2y"))) == ([], 0)
+    table = crossings(parse_diagram("O1+ O2- U1+ U2-"))
+    assert ax.fold_virtual(table) == (table, 1)
+
+
+def _odd_made_virtual(code):
+    """The code with each odd crossing made virtual, framed on its X pass
+    (the over pass of a positive crossing, the under pass of a negative)."""
+    odd = {c.cid for c in crossings(code) if c.cls == "odd"}
+    passes = tuple(Pass(p.cid, VIRTUAL, (p.kind == OVER) == (code.signs[p.cid] > 0))
+                   if p.cid in odd else p for p in code.passes)
+    return DiagramCode(passes, {c: s for c, s in code.signs.items() if c not in odd})
+
+
+def _at_h_equals_q(p):
+    out = ZERO
+    for (es, et, eq, eh), c in p.terms.items():
+        out = out + LaurentPoly.term(c, es, et, eq + eh)
+    return out
+
+
+def test_invariant_at_h_equals_q_is_that_of_the_odd_crossings_made_virtual():
+    """At h = q the odd rows are the virtual rows (ROW_TEMPLATES), so A of a
+    code at h = q is A of the code with its odd crossings made virtual,
+    as long as no even crossing turns odd."""
+    rng = random.Random(59)
+    tested = 0
+    for _ in range(600):
+        code = random_code(rng, max_crossings=rng.randint(2, 9), p_virtual=0.3)
+        projected = _odd_made_virtual(code)
+        if any(c.cls == "odd" for c in crossings(projected)):
+            continue  # an even crossing turned odd
+        at_q = _at_h_equals_q(parity_alexander(code).canonical).canonical()
+        assert at_q == parity_alexander(projected).canonical, code.to_text()
+        tested += code.signs != projected.signs
+    assert tested > 100
 
 
 def test_relator_count_and_arc_degree():
