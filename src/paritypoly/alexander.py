@@ -24,27 +24,31 @@ oracle path builds words (``crossing_relators``) and differentiates them
 presentation view and the tests use it, and the tests check that both
 paths give the same A.
 
-``parity_alexander`` folds the virtual crossings away first, so that its
-matrix K has two rows per classical crossing.  A virtual crossing's rows
-say z = q^-1 y and w = q x, so ``fold_virtual`` writes every arc as q^k
-times its classical segment, the arc that leaves the last classical pass
-before it, and ``build_matrix_A`` of the folded table puts those q^k on the
-x and y entries of the classical rows.  Order the rows and columns of A by
-row target (each arc is the target of one row), so that -1 runs down the
-diagonal.  The virtual rows on their target columns are then -I plus a
-nilpotent part, as each chain of virtual arcs starts at a segment, of
-determinant (-1)^(2v) = 1, and eliminating them substitutes q^k times the
-segment for each virtual arc: K is their Schur complement.  So
+``parity_alexander`` contracts every one-step row first, so that its
+matrix K has one row per even crossing.  Both rows of a virtual or odd
+crossing, the w row of an even+ and the z row of an even- crossing say
+that the outgoing arc is one monomial times the incoming arc of its strand
+(z = q^-1 y, w = q x; z = h^-1 y, w = h x; w = s x; z = s^-1 y), so
+``fold_steps`` writes every arc as a monomial times its head, the last
+target of another row at or before it, and ``build_matrix_A`` of the
+folded table puts those monomials on the x and y entries of the even
+crossings' other rows.  Order the rows and columns of A by row target
+(each arc is the target of one row), so that -1 runs down the diagonal.
+The m one-step rows on their target columns are then -I + N, N nilpotent
+as each chain of step arcs starts after a head, of determinant (-1)^m, and
+eliminating them substitutes its weighted head for each step arc: K is
+their Schur complement.  With k even crossings m = 2n - k, so
 
-    det A = eps * det K,   eps = sgn(sigma_A) * sgn(sigma_K),
+    det A = eps * det K,   eps = sgn(sigma_A) * sgn(sigma_K) * (-1)^k,
 
 with sigma taking each row to the position of its target among the
-matrix's ascending columns.  With no classical crossing the strand weights
-close up at q^v q^-v = 1, a null vector of A, so det A = 0; the empty code
-has the 0 x 0 matrix and det 1.  At h = q the odd template is the virtual
-one, so the invariant at h = q is that of the code with its odd crossings
-made virtual, framed on their X pass, whenever that keeps every even
-crossing even.
+matrix's ascending columns.  With no even crossing every row is one step,
+and the weights walked around the knot close up at 1 (each crossing's two
+steps are h^-1 and h, or q^-1 and q), a null vector of A, so det A = 0;
+the empty code has the 0 x 0 matrix and det 1.  At h = q the odd template
+is the virtual one, so the invariant at h = q is that of the code with its
+odd crossings made virtual, framed on their X pass, whenever that keeps
+every even crossing even.
 
 ``determinant`` divides nowhere: it pivots on the +/- monomial entries
 (unit pivots: in the sparsest row, at the unit column the fewest rows
@@ -217,15 +221,18 @@ _MINUS_ONE = LaurentPoly.const(-1)
 
 
 def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]]:
-    """The z and w rows of one crossing under ROW_TEMPLATES[template]."""
-    incoming = {"x": (c.x_in, c.x_q), "y": (c.y_in, c.y_q)}
+    """The rows of one crossing under ROW_TEMPLATES[template], z then w,
+    but for a target 0 (a row that ``fold_steps`` contracted)."""
+    incoming = {"x": (c.x_in, c.x_exp), "y": (c.y_in, c.y_exp)}
     rows = []
     for target, entries in zip((c.z_out, c.w_out), ROW_TEMPLATES[template]):
+        if not target:
+            continue
         row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
         for role, coeff in entries:
-            col, q = incoming[role]
-            if q:
-                coeff = coeff.shift((0, 0, q, 0))
+            col, e = incoming[role]
+            if e != (0, 0, 0, 0):
+                coeff = coeff.shift(e)
             row[col] = row[col] + coeff if col in row else coeff
         rows.append({c: v for c, v in row.items() if v})
     return rows
@@ -233,71 +240,83 @@ def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]
 
 def build_matrix_A(code: DiagramCode,
                    table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
-    """Square matrix read off ROW_TEMPLATES, two rows per crossing of the
-    table: rows by ascending crossing id, z before w, and one column per
+    """Square matrix read off ROW_TEMPLATES, a row per nonzero target in
+    the table: rows by ascending crossing id, z before w, and one column per
     row target, ascending; entries on coinciding arcs add and zero entries
     are dropped.  ``table`` is ``crossings(code)`` when the caller has it,
-    or a table folded by ``fold_virtual``, whose x and y entries are
-    shifted by q^x_q and q^y_q.  For ``crossings(code)`` this is the
-    2n x 2n matrix A over the arcs 1..n, which fox_matrix_A builds from Fox
-    derivatives."""
+    or a table folded by ``fold_steps``, whose x and y entries are shifted
+    by x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n matrix
+    A over the arcs 1..n, which fox_matrix_A builds from Fox derivatives."""
     if table is None:
         table = crossings(code)
     rows: List[Dict[ColKey, LaurentPoly]] = []
     labels: List[Tuple] = []
+    cols: List[ColKey] = []
     for c in table:
         rows += _template_rows(c, c.cls)
-        labels += [(c.cid, "z"), (c.cid, "w")]
-    return AlexanderMatrix(rows, labels, sorted(t for c in table for t in (c.z_out, c.w_out)))
+        for kind, t in (("z", c.z_out), ("w", c.w_out)):
+            if t:
+                labels.append((c.cid, kind))
+                cols.append(t)
+    cols.sort()
+    return AlexanderMatrix(rows, labels, cols)
 
 
-def fold_virtual(table: List[Crossing]) -> Tuple[List[Crossing], int]:
-    """(folded, sign): the classical crossings of ``table`` on classical
-    segments, with det A = sign * det build_matrix_A(code, folded).
+def _one_step(row: Tuple[Tuple[str, LaurentPoly], ...], strand: str) -> Optional[Exps]:
+    """The exponents of m if a template row says target = m * the incoming
+    arc of ``strand``, else None."""
+    terms = row[0][1].terms if len(row) == 1 and row[0][0] == strand else {}
+    return next(iter(terms)) if list(terms.values()) == [1] else None
 
-    A virtual crossing's rows say z = q^-1 y and w = q x (ROW_TEMPLATES),
-    one monomial step along each strand.  Walking the arcs once composes
-    those steps, so that every arc is q^k times its segment, the arc that
-    leaves the last classical pass before it.  Each classical crossing
-    keeps its outgoing arcs, which are segments, and gets its incoming
-    arcs as segments with their q-exponents in x_q and y_q.  sign is
-    sgn(sigma_A) * sgn(sigma_K), sigma taking each row of the full and of
-    the folded matrix to the position of its target column (see the module
-    docstring); it is 0 when no classical crossing is left, as the virtual
-    cycle then closes with weight 1.  A table without virtual crossings is
-    returned as it is, with sign 1.
+
+# crossing class -> (z step, w step), None for a row that is not one step
+_STEPS = {cls: (_one_step(z, "y"), _one_step(w, "x")) for cls, (z, w) in ROW_TEMPLATES.items()}
+
+
+def fold_steps(table: List[Crossing]) -> Tuple[List[Crossing], int]:
+    """(folded, sign) with det A = sign * det build_matrix_A(code, folded):
+    the even crossings of ``table``, each with its one row that is not one
+    step, on segment heads (see the module docstring).
+
+    Walking the arcs once composes the steps, so that every arc is a
+    monomial times its head, the last target of a kept row at or before it.
+    A kept crossing gets its incoming arcs as heads, their monomials'
+    exponents in x_exp and y_exp, and 0 for its one-step row's target.
+    sign is sgn(sigma_A) * sgn(sigma_K) * (-1)^k for k kept rows, and 0
+    when no row is kept, as the weights then close up at 1; the empty table
+    gives ([], 1).
     """
-    (((_, to_z),), ((_, to_w),)) = ROW_TEMPLATES["virtual"]
-    (z_step,), (w_step,) = to_z.terms, to_w.terms
-    step: Dict[int, int] = {}  # outgoing arc of a virtual pass -> its q-step
+    step: Dict[int, Exps] = {}  # target of a one-step row -> its step's exponents
     for c in table:
-        if c.cls == "virtual":
-            step[c.z_out] = z_step[2]
-            step[c.w_out] = w_step[2]
-    if not step:
-        return table, 1
-    classical = [c for c in table if c.cls != "virtual"]
-    if not classical:
-        return classical, 0
+        z_step, w_step = _STEPS[c.cls]
+        if z_step is not None:
+            step[c.z_out] = z_step
+        if w_step is not None:
+            step[c.w_out] = w_step
+    kept = [c for c in table if c.z_out not in step or c.w_out not in step]
+    if not kept:
+        return [], 0 if table else 1
     n = 2 * len(table)  # arc a + 1 follows arc a along the knot, arc 1 follows arc n
-    segment: Dict[int, Tuple[int, int]] = {}
-    head = start = classical[0].z_out
-    q = 0
+    segment: Dict[int, Tuple[int, Exps]] = {}
+    head = start = kept[0].z_out if kept[0].z_out not in step else kept[0].w_out
+    e = (0, 0, 0, 0)
     for a in range(start, start + n):
         a = a - n if a > n else a
-        if a in step:
-            q += step[a]
+        d = step.get(a)
+        if d is None:
+            head, e = a, (0, 0, 0, 0)
         else:
-            head, q = a, 0
-        segment[a] = (head, q)
+            e = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
+        segment[a] = (head, e)
     folded = []
-    for c in classical:
-        (x, x_q), (y, y_q) = segment[c.x_in], segment[c.y_in]
-        folded.append(Crossing(c.cid, c.cls, x, y, c.z_out, c.w_out, x_q, y_q))
-    kept = [t for c in classical for t in (c.z_out, c.w_out)]
-    rank = {t: j for j, t in enumerate(sorted(kept))}
+    for c in kept:
+        (x, x_exp), (y, y_exp) = segment[c.x_in], segment[c.y_in]
+        z, w = (0 if t in step else t for t in (c.z_out, c.w_out))
+        folded.append(Crossing(c.cid, c.cls, x, y, z, w, x_exp, y_exp))
+    targets = [t for c in folded for t in (c.z_out, c.w_out) if t]
+    rank = {t: j for j, t in enumerate(sorted(targets))}
     sign = (_permutation_sign([t - 1 for c in table for t in (c.z_out, c.w_out)])
-            * _permutation_sign([rank[t] for t in kept]))
+            * _permutation_sign([rank[t] for t in targets]) * (-1) ** len(targets))
     return folded, sign
 
 
@@ -515,13 +534,13 @@ def parity_alexander(code: DiagramCode) -> InvariantResult:
     """Canonical invariant of a diagram code, with widths and crossing counts.
 
     Computed as det(A) = eps * det(K), K the build_matrix_A of the table
-    that fold_virtual leaves (see the module docstring), no Fox
+    that fold_steps leaves (see the module docstring), no Fox
     derivatives involved; the gcd-of-minors definition agrees up to unit
     and is kept as the small-instance oracle gcd_of_minors.  The empty
     code has a 0x0 matrix and canonical invariant 1.
     """
     table = crossings(code)
-    folded, sign = fold_virtual(table)
+    folded, sign = fold_steps(table)
     det = determinant(build_matrix_A(code, folded)) if sign else LaurentPoly.zero()
     canonical, unit = (det if sign > 0 else -det).canonicalize()
     zero = canonical.is_zero()

@@ -35,10 +35,17 @@ from .verify import SUITES, run_suite
 Named = Tuple[str, DiagramCode]
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_path(path: Path) -> List[Named]:
     """Named codes of one file; an unnamed code is named by its index among
     the file's codes (.vkd) or by its line number (.gauss, as in batch)."""
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     if path.suffix == ".vkd":
         return [(name or f"{path.stem}[{i}]", code)
                 for i, (name, code) in enumerate(parse_vkd(text))]
@@ -97,6 +104,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        print("error: --trials must be >= 0", file=sys.stderr)
+        return 1
     diagrams = load_paths(args.paths)
     report = run_suite(args.suite, diagrams, trials=args.trials, seed=args.seed)
     for label, ok, detail in report.checks:
@@ -121,7 +131,7 @@ def cmd_batch(args) -> int:
     and the stream goes on.  Exit 2 if any line hit an internal error, else
     1 if any line failed."""
     path = Path(args.table)
-    text = path.read_text(encoding="utf-8")  # before --out is opened and truncated
+    text = _read_text(path)  # before --out is opened and truncated
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     failed = internal = False
     try:
@@ -181,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DiagramError, GaussError, FileNotFoundError) as exc:
+    except (DiagramError, GaussError, OSError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RealizationError as exc:

@@ -250,17 +250,18 @@ def parity(code: DiagramCode) -> Dict[int, str]:
 
 
 class Crossing(NamedTuple):
-    """One crossing: its class and the four semi-arcs that meet there.  In
-    a table folded by ``alexander.fold_virtual`` the arcs are classical
-    segments and x_in, y_in stand for q^x_q x_in, q^y_q y_in."""
+    """One crossing: its class and the four semi-arcs that meet there.  In a
+    table folded by ``alexander.fold_steps`` (even crossings only) the arcs
+    are segment heads, 0 for a contracted row's target, and x_in, y_in stand
+    for s^a t^b q^c h^d times their heads, (a, b, c, d) = x_exp, y_exp."""
     cid: int
     cls: str    # "virtual", "odd", "even+" or "even-"
     x_in: int   # incoming arc of the X strand
     y_in: int   # incoming arc of the other strand
     z_out: int  # outgoing arc of the other strand
     w_out: int  # outgoing arc of the X strand
-    x_q: int = 0  # q-exponent on x_in
-    y_q: int = 0  # q-exponent on y_in
+    x_exp: Tuple[int, int, int, int] = (0, 0, 0, 0)  # weight on x_in
+    y_exp: Tuple[int, int, int, int] = (0, 0, 0, 0)  # weight on y_in
 
 
 def crossings(code: DiagramCode) -> List[Crossing]:

@@ -142,7 +142,7 @@ def test_parity_alexander_equals_oracle_determinant():
         assert (res.canonical, res.unit) == (canonical, unit), code.to_text()
 
 
-def test_parity_alexander_builds_two_rows_per_classical_crossing(monkeypatch):
+def test_parity_alexander_builds_one_row_per_even_crossing(monkeypatch):
     shapes = []
     build = ax.build_matrix_A
 
@@ -156,18 +156,29 @@ def test_parity_alexander_builds_two_rows_per_classical_crossing(monkeypatch):
     realized = [realize(trefoil, strategy=strategy) for strategy in (0, 1)]
     assert [len(code.virtual_ids()) for code in realized] == [15, 13]
     for code in realized:
-        parity_alexander(code)
-    assert shapes == [(6, 6), (6, 6)]
+        k = parity_alexander(code).n_even
+        assert shapes.pop() == (k, k), code.to_text()
     rng = random.Random(58)
     for _ in range(100):
         code = random_code(rng, max_crossings=8, p_virtual=0.6)
         shapes.clear()
-        parity_alexander(code)
-        n = 2 * len(code.signs)
-        assert shapes == ([(n, n)] if code.signs or not code.passes else []), code.to_text()
-    assert ax.fold_virtual(crossings(parse_diagram("V1x V2x V1y V2y"))) == ([], 0)
-    table = crossings(parse_diagram("O1+ O2- U1+ U2-"))
-    assert ax.fold_virtual(table) == (table, 1)
+        k = parity_alexander(code).n_even
+        assert shapes == ([(k, k)] if k or not code.passes else []), code.to_text()
+    for text in ("O1+ O2+ U1+ U2+", "V1x V2x V1y V2y"):
+        shapes.clear()
+        assert parity_alexander(parse_diagram(text)).canonical.is_zero(), text
+        assert shapes == [], text
+    assert ax.fold_steps(crossings(parse_diagram("V1x V2x V1y V2y"))) == ([], 0)
+    assert ax.fold_steps(crossings(parse_diagram("O1+ O2+ U1+ U2+"))) == ([], 0)
+    assert ax.fold_steps([]) == ([], 1)
+    # the even+ crossing keeps its z row, the even- crossing its w row,
+    # and every incoming arc becomes a head, the target of a kept row
+    table = crossings(parse_diagram("O1+ U1+ V3x O2- U2- V3y"))
+    folded, _sign = ax.fold_steps(table)
+    assert [(c.cid, c.cls, c.z_out, c.w_out) for c in folded] == [
+        (1, "even+", table[0].z_out, 0), (2, "even-", 0, table[1].w_out)]
+    heads = {table[0].z_out, table[1].w_out}
+    assert all({c.x_in, c.y_in} <= heads for c in folded)
 
 
 def _odd_made_virtual(code):

@@ -117,6 +117,31 @@ def test_batch_keeps_out_file_when_table_is_missing(capsys, tmp_path):
     assert keep.read_text() == '{"name": "earlier"}\n'
 
 
+def test_verify_refuses_negative_trials(capsys):
+    rc, out, err = run(capsys, "verify", "moves", FIXTURES / "unknot.vkd", "--trials", "-3")
+    assert (rc, out, err) == (1, "", "error: --trials must be >= 0\n")
+
+
+def test_directory_input_is_an_error(capsys, tmp_path):
+    rc, out, err = run(capsys, "compute", tmp_path)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_non_utf8_input_is_an_error(capsys, tmp_path):
+    f = tmp_path / "bom.vkd"
+    f.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "compute", f)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {f}: not UTF-8 text")
+
+
+def test_batch_out_directory_is_an_error(capsys, tmp_path):
+    rc, out, err = run(capsys, "batch", FIXTURES / "knot3_1.gauss", "--out", tmp_path)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     f = tmp_path / "bad.vkd"
     f.write_text("code: O1+ U1-\n")
