@@ -14,38 +14,42 @@ outgoing arc of the y strand, w of the x strand; each is stored as
 RHS * target^-1) and ``ROW_TEMPLATES`` their abelianized Fox derivatives,
 the crossing's two rows of A: -1 on the target arc plus monomial-weighted
 incoming arcs, entries on coinciding arcs adding.  The "smooth" rows of
-``ROW_TEMPLATES`` (z = x, w = y) belong to no class: they are the oriented
-smoothing of an even crossing, which only ``skein_matrices`` uses.
+``ROW_TEMPLATES`` (z = x, w = y) belong to no class of ``crossings``: they
+are the oriented smoothing of an even crossing, which only the skein
+tables hold.
 
-Two paths build A.  ``build_matrix_A``, which ``parity_alexander`` and
-``skein_matrices`` use, reads the rows straight off the templates.  The
-oracle path builds words (``crossing_relators``) and differentiates them
-(``fox_matrix_A``, ``build_full_matrix_M``); the bordered matrix M, the
-presentation view and the tests use it, and the tests check that both
-paths give the same A.
+``build_matrix_A`` reads the rows of a crossing table straight off the
+templates.  The oracle path builds words (``crossing_relators``) and
+differentiates them (``fox_matrix_A``, ``build_full_matrix_M``); the
+bordered matrix M, the presentation view and the tests use it, and the
+tests check that both give the same A.  One path goes from a table to
+det A, ``_det_A``, for ``parity_alexander`` and for the skein triple
+alike.
 
-``parity_alexander`` contracts every one-step row first, so that its
-matrix K has one row per even crossing.  Both rows of a virtual or odd
-crossing, the w row of an even+ and the z row of an even- crossing say
-that the outgoing arc is one monomial times the incoming arc of its strand
-(z = q^-1 y, w = q x; z = h^-1 y, w = h x; w = s x; z = s^-1 y), so
-``fold_steps`` writes every arc as a monomial times its head, the last
-target of another row at or before it, and ``build_matrix_A`` of the
-folded table puts those monomials on the x and y entries of the even
-crossings' other rows.  Order the rows and columns of A by row target
-(each arc is the target of one row), so that -1 runs down the diagonal.
-The m one-step rows on their target columns are then -I + N, N nilpotent
-as each chain of step arcs starts after a head, of determinant (-1)^m, and
-eliminating them substitutes its weighted head for each step arc: K is
-their Schur complement.  With k even crossings m = 2n - k, so
+``_det_A`` contracts every one-step row first, so that its matrix K has
+one row per even crossing, and two for a smoothed one.  Both rows of a
+virtual or odd crossing, the w row of an even+ and the z row of an even-
+crossing say that the outgoing arc is one monomial times the incoming arc
+of its strand (z = q^-1 y, w = q x; z = h^-1 y, w = h x; w = s x;
+z = s^-1 y), so ``fold_steps`` writes every arc as a monomial times its
+head, the last target of another row at or before it, and
+``build_matrix_A`` of the folded table puts those monomials on the x and
+y entries of the kept rows.  Order the rows and columns of A by row
+target (each arc is the target of one row), so that -1 runs down the
+diagonal.  The m one-step rows on their target columns are then -I + N,
+N nilpotent as each chain of step arcs starts after a head, of
+determinant (-1)^m, and eliminating them substitutes its weighted head
+for each step arc: K is their Schur complement.  With k kept rows
+m = 2n - k, so
 
     det A = eps * det K,   eps = sgn(sigma_A) * sgn(sigma_K) * (-1)^k,
 
 with sigma taking each row to the position of its target among the
 matrix's ascending columns.  With no even crossing every row is one step,
 and the weights walked around the knot close up at 1 (each crossing's two
-steps are h^-1 and h, or q^-1 and q), a null vector of A, so det A = 0;
-the empty code has the 0 x 0 matrix and det 1.  At h = q the odd template
+steps are h^-1 and h, or q^-1 and q), a null vector of A, so det A = 0.
+The empty code is read the same way and gives 0, as its R1 and V1
+neighbours do (its 0 x 0 matrix A has det 1).  At h = q the odd template
 is the virtual one, so the invariant at h = q is that of the code with its
 odd crossings made virtual, framed on their X pass, whenever that keeps
 every even crossing even.
@@ -220,44 +224,36 @@ ROW_TEMPLATES: Dict[str, Tuple[Tuple[Tuple[str, LaurentPoly], ...], ...]] = {
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
-def _template_rows(c: Crossing, template: str) -> List[Dict[ColKey, LaurentPoly]]:
-    """The rows of one crossing under ROW_TEMPLATES[template], z then w,
-    but for a target 0 (a row that ``fold_steps`` contracted)."""
-    incoming = {"x": (c.x_in, c.x_exp), "y": (c.y_in, c.y_exp)}
-    rows = []
-    for target, entries in zip((c.z_out, c.w_out), ROW_TEMPLATES[template]):
-        if not target:
-            continue
-        row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
-        for role, coeff in entries:
-            col, e = incoming[role]
-            if e != (0, 0, 0, 0):
-                coeff = coeff.shift(e)
-            row[col] = row[col] + coeff if col in row else coeff
-        rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
 def build_matrix_A(code: DiagramCode,
                    table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
-    """Square matrix read off ROW_TEMPLATES, a row per nonzero target in
-    the table: rows by ascending crossing id, z before w, and one column per
-    row target, ascending; entries on coinciding arcs add and zero entries
-    are dropped.  ``table`` is ``crossings(code)`` when the caller has it,
-    or a table folded by ``fold_steps``, whose x and y entries are shifted
-    by x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n matrix
-    A over the arcs 1..n, which fox_matrix_A builds from Fox derivatives."""
+    """Square matrix read off ROW_TEMPLATES[c.cls], a row per nonzero
+    target in the table: rows by ascending crossing id, z before w, and one
+    column per row target, ascending; entries on coinciding arcs add and
+    zero entries are dropped.  ``table`` is ``crossings(code)`` when the
+    caller has it, possibly with a crossing's class replaced (the skein
+    tables), or a table folded by ``fold_steps``, whose x and y entries are
+    shifted by x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n
+    matrix A over the arcs 1..n, which fox_matrix_A builds from Fox
+    derivatives."""
     if table is None:
         table = crossings(code)
     rows: List[Dict[ColKey, LaurentPoly]] = []
     labels: List[Tuple] = []
     cols: List[ColKey] = []
     for c in table:
-        rows += _template_rows(c, c.cls)
-        for kind, t in (("z", c.z_out), ("w", c.w_out)):
-            if t:
-                labels.append((c.cid, kind))
-                cols.append(t)
+        incoming = {"x": (c.x_in, c.x_exp), "y": (c.y_in, c.y_exp)}
+        for kind, target, entries in zip("zw", (c.z_out, c.w_out), ROW_TEMPLATES[c.cls]):
+            if not target:
+                continue
+            row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
+            for role, coeff in entries:
+                col, e = incoming[role]
+                if e != (0, 0, 0, 0):
+                    coeff = coeff.shift(e)
+                row[col] = row[col] + coeff if col in row else coeff
+            rows.append({col: v for col, v in row.items() if v})
+            labels.append((c.cid, kind))
+            cols.append(target)
     cols.sort()
     return AlexanderMatrix(rows, labels, cols)
 
@@ -284,7 +280,7 @@ def fold_steps(table: List[Crossing]) -> Tuple[List[Crossing], int]:
     exponents in x_exp and y_exp, and 0 for its one-step row's target.
     sign is sgn(sigma_A) * sgn(sigma_K) * (-1)^k for k kept rows, and 0
     when no row is kept, as the weights then close up at 1; the empty table
-    gives ([], 1).
+    too gives ([], 0).
     """
     step: Dict[int, Exps] = {}  # target of a one-step row -> its step's exponents
     for c in table:
@@ -295,7 +291,7 @@ def fold_steps(table: List[Crossing]) -> Tuple[List[Crossing], int]:
             step[c.w_out] = w_step
     kept = [c for c in table if c.z_out not in step or c.w_out not in step]
     if not kept:
-        return [], 0 if table else 1
+        return [], 0
     n = 2 * len(table)  # arc a + 1 follows arc a along the knot, arc 1 follows arc n
     segment: Dict[int, Tuple[int, Exps]] = {}
     head = start = kept[0].z_out if kept[0].z_out not in step else kept[0].w_out
@@ -371,11 +367,11 @@ def _permutation_sign(perm: List[int]) -> int:
     return sign
 
 
-def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
-                            cols: List[ColKey]) -> LaurentPoly:
-    """Exact determinant: pivot on +/- monomial entries while any exist
-    (cheap row operations, most relator rows have one), then expand the
-    unit-free core with the division-free ``_laplace``.
+def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
+    """Exact determinant, division-free: pivot on +/- monomial entries
+    while any exist (cheap row operations, most relator rows have one),
+    then expand the unit-free core with ``_laplace``.  The 0x0 matrix has
+    determinant 1.
 
     Each unit pivot is taken in the sparsest live row that has one, at the
     unit whose column the fewest live rows hold (Markowitz's fill-in rule;
@@ -385,11 +381,14 @@ def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
     column.  det is the product of the pivots times det(core), signed by the
     parity of the row -> column matching: each pivot row to its column, the
     core rows to the core columns in order.  Work rows map column position
-    -> term dict, the input's own until a step first changes the entry,
-    which is then copied and updated in place.
+    -> a copy of the entry's term dict, updated in place.
     """
+    n_rows, n_cols = matrix.size
+    if n_rows != n_cols:
+        raise ValueError(f"matrix is {n_rows}x{n_cols}, not square")
+    cols = matrix.cols
     position = {c: j for j, c in enumerate(cols)}
-    work = [{position[c]: v.terms for c, v in r.items() if v.terms} for r in rows]
+    work = [{position[c]: dict(v.terms) for c, v in r.items() if v.terms} for r in matrix.rows]
     holders: Dict[int, Set[int]] = {j: set() for j in range(len(cols))}
     for i, row in enumerate(work):
         for j in row:
@@ -432,8 +431,6 @@ def _det_units_then_laplace(rows: List[Dict[ColKey, LaurentPoly]],
                     other[j] = _add_product(None, factor, v, 1)
                     holders[j].add(k)
                     continue
-                if cols[j] in rows[k] and cur is rows[k][cols[j]].terms:
-                    cur = dict(cur)  # first update: the input's dict stays as it is
                 cur = _drop_zeros(_add_product(cur, factor, v, 1))
                 if cur:
                     other[j] = cur
@@ -479,15 +476,6 @@ def _laplace(m: Sequence[Sequence[Optional[Terms]]]) -> Dict[int, Terms]:
     return minors
 
 
-def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
-    """Exact determinant, division-free: unit pivots, then a Laplace
-    expansion of the unit-free core.  The 0x0 matrix has determinant 1."""
-    n_rows, n_cols = matrix.size
-    if n_rows != n_cols:
-        raise ValueError(f"matrix is {n_rows}x{n_cols}, not square")
-    return _det_units_then_laplace(matrix.rows, matrix.cols)
-
-
 def determinant_cofactor(matrix: AlexanderMatrix) -> LaurentPoly:
     """Naive cofactor expansion along the first row; the independent oracle."""
     n_rows, n_cols = matrix.size
@@ -530,19 +518,27 @@ class InvariantResult:
         return {"q": self.q_width, "h": self.h_width}
 
 
+def _det_A(code: DiagramCode, table: List[Crossing]) -> LaurentPoly:
+    """det A of a crossing table of code, exactly: eps * det(K), K the
+    build_matrix_A of the table that fold_steps leaves (see the module
+    docstring), and 0 when fold_steps keeps no row."""
+    folded, sign = fold_steps(table)
+    if not sign:
+        return LaurentPoly.zero()
+    det = determinant(build_matrix_A(code, folded))
+    return det if sign > 0 else -det
+
+
 def parity_alexander(code: DiagramCode) -> InvariantResult:
     """Canonical invariant of a diagram code, with widths and crossing counts.
 
-    Computed as det(A) = eps * det(K), K the build_matrix_A of the table
-    that fold_steps leaves (see the module docstring), no Fox
-    derivatives involved; the gcd-of-minors definition agrees up to unit
-    and is kept as the small-instance oracle gcd_of_minors.  The empty
-    code has a 0x0 matrix and canonical invariant 1.
+    Computed as ``_det_A`` of ``crossings(code)``, no Fox derivatives
+    involved; the gcd-of-minors definition agrees up to unit and is kept
+    as the small-instance oracle gcd_of_minors.  The empty code gives 0,
+    as its R1 and V1 neighbours do.
     """
     table = crossings(code)
-    folded, sign = fold_steps(table)
-    det = determinant(build_matrix_A(code, folded)) if sign else LaurentPoly.zero()
-    canonical, unit = (det if sign > 0 else -det).canonicalize()
+    canonical, unit = _det_A(code, table).canonicalize()
     zero = canonical.is_zero()
     kinds = [c.cls for c in table]
     return InvariantResult(
@@ -662,24 +658,28 @@ def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
 # -- skein triples ------------------------------------------------------------------
 
 
-def skein_matrices(code: DiagramCode, crossing_id: int
-                   ) -> Tuple[AlexanderMatrix, AlexanderMatrix, AlexanderMatrix]:
-    """(M_plus, M_minus, M_smooth): A with the two rows of the selected even
-    crossing read off the "even+", "even-" and "smooth" templates; the other
-    rows and the labeling are shared."""
+def _skein_tables(code: DiagramCode, crossing_id: int) -> List[List[Crossing]]:
+    """crossings(code) with the selected even crossing's class replaced by
+    "even+", "even-" and "smooth"."""
     table = crossings(code)
     k = next((i for i, c in enumerate(table) if c.cid == crossing_id), None)
     if k is None or table[k].cls == "virtual":
         raise DiagramError(f"crossing {crossing_id} is not classical")
     if table[k].cls == ODD:
         raise DiagramError(f"crossing {crossing_id} is odd; use switch_crossing")
-    base = build_matrix_A(code, table)
-    out = []
-    for template in ("even+", "even-", "smooth"):
-        rows = list(base.rows)
-        rows[2 * k:2 * k + 2] = _template_rows(table[k], template)
-        out.append(AlexanderMatrix(rows, list(base.row_labels), list(base.cols)))
-    return tuple(out)  # type: ignore[return-value]
+    return [table[:k] + [table[k]._replace(cls=cls)] + table[k + 1:]
+            for cls in ("even+", "even-", "smooth")]
+
+
+def skein_matrices(code: DiagramCode, crossing_id: int
+                   ) -> Tuple[AlexanderMatrix, AlexanderMatrix, AlexanderMatrix]:
+    """(M_plus, M_minus, M_smooth): the unfolded A of the three skein
+    tables, the selected even crossing's two rows read off the "even+",
+    "even-" and "smooth" templates; the other rows and the labeling are
+    shared.  ``check_even_skein`` takes the same determinants through the
+    fold; the tests compare it with these."""
+    plus, minus, smooth = (build_matrix_A(code, t) for t in _skein_tables(code, crossing_id))
+    return plus, minus, smooth
 
 
 @dataclass
@@ -693,11 +693,10 @@ class SkeinReport:
 
 def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
     """Evaluate the skein identity D+ - st D- = (1-st) Dv exactly (no unit
-    normalization; the shared labeling makes the determinants comparable)."""
-    m_plus, m_minus, m_smooth = skein_matrices(code, crossing_id)
-    dp = determinant(m_plus)
-    dm = determinant(m_minus)
-    dv = determinant(m_smooth)
+    normalization; the shared labeling makes the determinants comparable).
+    Each is ``_det_A`` of a skein table, the same fold and kernel as
+    ``parity_alexander``."""
+    dp, dm, dv = (_det_A(code, t) for t in _skein_tables(code, crossing_id))
     st = LaurentPoly.var("s") * LaurentPoly.var("t")
     return SkeinReport(
         crossing_id=crossing_id,

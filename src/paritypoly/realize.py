@@ -58,6 +58,8 @@ def parse_gauss(text: str) -> SignedGaussCode:
 def validate_gauss(g: SignedGaussCode) -> None:
     seen: Dict[int, Dict[str, int]] = {}
     for cid, kind, sign in g:
+        if cid < 1:
+            raise GaussError(f"crossing {cid}: id must be a positive integer")
         seen.setdefault(cid, {})
         if kind in seen[cid]:
             raise GaussError(f"crossing {cid}: duplicate {kind} pass")
@@ -82,9 +84,8 @@ def gauss_lines(text: str) -> Iterator[Tuple[int, Optional[str], str]]:
         if not line or line.startswith("#"):
             continue
         name: Optional[str] = None
-        if "\t" in line:
-            name, line = line.split("\t", 1)
-            name = name.strip()
+        if "\t" in raw:  # split before stripping: "unknot<TAB>" is a named empty code
+            name, line = (part.strip() for part in raw.split("\t", 1))
         yield lineno, name, line
 
 

@@ -56,15 +56,10 @@ def _random_insert(rng: random.Random, code: DiagramCode) -> Tuple:
 
 
 def random_move(rng: random.Random, code: DiagramCode) -> Tuple[str, DiagramCode]:
-    """One random applicable move, basepoint shift or relabeling.
-
-    Removals that would empty the code are skipped: the 0-crossing code is a
-    documented convention corner (its 0x0 matrix has determinant 1).
-    """
+    """One random applicable move, basepoint shift or relabeling."""
     n = len(code.crossing_ids())
     options = ["insert", "shift", "relabel"]
-    removals = [mv for mv in removal_sites(code)
-                if n > (2 if mv[0] in ("r2_remove", "v2_remove") else 1)]
+    removals = removal_sites(code)
     if removals:
         options += ["remove"] * (3 if n >= 7 else 1)
     if n >= 9:
@@ -90,10 +85,9 @@ def suite_moves(diagrams: Sequence[Tuple[str, DiagramCode]], trials: int = 1000,
     canonical invariant."""
     rng = random.Random(seed)
     report = VerifyReport("moves")
-    bases = [(name, code) for name, code in diagrams if code.passes]
     for t in range(trials):
-        if bases and t % 3 == 0:
-            name, code = bases[t // 3 % len(bases)]
+        if diagrams and t % 3 == 0:
+            name, code = diagrams[t // 3 % len(diagrams)]
         else:
             name, code = f"random[{t}]", random_code(rng, max_crossings=6)
         expected = parity_alexander(code).canonical

@@ -17,7 +17,8 @@ from paritypoly.alexander import (
 )
 from paritypoly.diagram import (
     OVER, VIRTUAL, DiagramCode, DiagramError, Pass,
-    crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
+    apply_move, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
+    removal_sites,
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
 from paritypoly.realize import parse_gauss_file, realize
@@ -134,12 +135,30 @@ def test_parity_alexander_makes_no_fox_derivative_calls(monkeypatch):
 
 def test_parity_alexander_equals_oracle_determinant():
     """The folded determinant, signed by eps, is det A exactly: the
-    canonical form and the unit both agree with the Fox oracle's A."""
+    canonical form and the unit both agree with the Fox oracle's A.  The
+    empty code, whose 0x0 A has det 1, is the one exception (see
+    test_empty_code_equals_its_r1_and_v1_neighbours)."""
     rng = random.Random(57)
     for code in _oracle_codes() + [random_code(rng, max_crossings=8) for _ in range(80)]:
+        if not code.passes:
+            continue
         res = parity_alexander(code)
         canonical, unit = determinant(fox_matrix_A(code)).canonicalize()
         assert (res.canonical, res.unit) == (canonical, unit), code.to_text()
+
+
+def test_empty_code_equals_its_r1_and_v1_neighbours():
+    # r1_remove and v1_remove onto the empty code keep the invariant, though
+    # the empty code's 0x0 A has det 1
+    empty = parity_alexander(parse_diagram(""))
+    assert determinant(fox_matrix_A(parse_diagram(""))) == ONE
+    for text in ("O1+ U1+", "U1+ O1+", "O1- U1-", "U1- O1-", "V1x V1y", "V1y V1x"):
+        code = parse_diagram(text)
+        (move,) = removal_sites(code)
+        assert not apply_move(code, move).passes, text
+        res = parity_alexander(code)
+        assert (empty.canonical, empty.unit, empty.widths) == (
+            res.canonical, res.unit, res.widths), text
 
 
 def test_parity_alexander_builds_one_row_per_even_crossing(monkeypatch):
@@ -170,7 +189,7 @@ def test_parity_alexander_builds_one_row_per_even_crossing(monkeypatch):
         assert shapes == [], text
     assert ax.fold_steps(crossings(parse_diagram("V1x V2x V1y V2y"))) == ([], 0)
     assert ax.fold_steps(crossings(parse_diagram("O1+ O2+ U1+ U2+"))) == ([], 0)
-    assert ax.fold_steps([]) == ([], 1)
+    assert ax.fold_steps([]) == ([], 0)
     # the even+ crossing keeps its z row, the even- crossing its w row,
     # and every incoming arc becomes a head, the target of a kept row
     table = crossings(parse_diagram("O1+ U1+ V3x O2- U2- V3y"))
@@ -364,8 +383,8 @@ def _template_snapshot():
 
 
 def test_determinant_leaves_its_input_unchanged():
-    """The elimination shares the input's term dicts and copies an entry
-    only when it first changes it: neither A nor ROW_TEMPLATES may change."""
+    """The elimination updates copies of the input's term dicts in place:
+    neither A nor ROW_TEMPLATES may change."""
     templates = _template_snapshot()
     rng = random.Random(61)
     codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
@@ -480,10 +499,10 @@ def test_invariant_matches_modular_det_on_large_codes(monkeypatch):
     assert max(sizes) >= 5
 
 
-def test_unknot_invariant_is_one():
+def test_unknot_invariant_is_zero():
     res = parity_alexander(parse_diagram(""))
-    assert res.canonical == ONE
-    assert res.q_width == 0 and res.h_width == 0
+    assert res.canonical == ZERO
+    assert res.q_width is None and res.h_width is None
 
 
 def test_classical_kink_vanishes():
@@ -725,6 +744,49 @@ def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
             expected[k:k + 2] = [{c: v for c, v in row.items() if v} for row in (z_row, w_row)]
             assert smooth == AlexanderMatrix(expected, A.row_labels, A.cols)
     assert sites > 200
+
+
+def _skein_codes():
+    """corpus50, the table knots realized both ways, and seeded codes."""
+    codes = [code for _name, code in parse_vkd((FIXTURES / "corpus50.vkd").read_text())]
+    codes += [realize(g, strategy=strategy) for strategy in (0, 1) for _name, g in
+              parse_gauss_file((FIXTURES / "table_knots.gauss").read_text())]
+    rng = random.Random(59)
+    codes += [random_code(rng, max_crossings=8, p_virtual=p)
+              for p in (0.0, 0.2, 0.4, 0.6, 0.8) for _ in range(40)]
+    return codes
+
+
+def test_folded_skein_triple_equals_the_unfolded_determinants():
+    sites = 0
+    for code in _skein_codes():
+        for c in crossings(code):
+            if c.cls in ("even+", "even-"):
+                rep = check_even_skein(code, c.cid)
+                unfolded = tuple(map(determinant, skein_matrices(code, c.cid)))
+                assert (rep.d_plus, rep.d_minus, rep.d_smooth) == unfolded, (code.to_text(), c.cid)
+                sites += 1
+    assert sites > 300
+
+
+def test_skein_builds_at_most_one_row_per_even_crossing_and_one_more(monkeypatch):
+    sizes = []
+    build = ax.build_matrix_A
+
+    def recorded(code, table=None):
+        matrix = build(code, table)
+        sizes.append(matrix.size)
+        return matrix
+
+    monkeypatch.setattr(ax, "build_matrix_A", recorded)
+    for code in _skein_codes():
+        n_even = parity_alexander(code).n_even
+        for c in crossings(code):
+            if c.cls in ("even+", "even-"):
+                sizes.clear()
+                check_even_skein(code, c.cid)
+                assert len(sizes) == 3 and all(
+                    rows == cols <= n_even + 1 for rows, cols in sizes), (code.to_text(), sizes)
 
 
 def test_skein_matrices_make_no_fox_derivative_calls(monkeypatch):

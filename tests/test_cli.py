@@ -18,7 +18,7 @@ def run(capsys, *argv):
 def test_compute_unknot(capsys):
     rc, out, _ = run(capsys, "compute", FIXTURES / "unknot.vkd")
     assert rc == 0
-    assert out.strip() == "unknot: 1"
+    assert out.strip() == "unknot: 0"
 
 
 def test_compute_trefoil(capsys):
@@ -47,7 +47,10 @@ def test_compute_deterministic(capsys):
 def test_bounds_output(capsys):
     rc, out, _ = run(capsys, "bounds", FIXTURES / "unknot.vkd")
     assert rc == 0
-    assert "q-width 0" in out and "virtual >= 0" in out
+    assert "no information" in out  # the unknot's invariant is 0, as R1 requires
+    rc, out, _ = run(capsys, "bounds", FIXTURES / "knot4_9.gauss")
+    assert rc == 0
+    assert "q-width 2" in out and "virtual >= 1" in out
     rc, out, _ = run(capsys, "bounds", FIXTURES / "knot4_7.gauss")
     assert rc == 0
     assert "no information" in out  # vanishing invariant carries no bound
@@ -210,3 +213,20 @@ def test_unnamed_gauss_code_is_named_by_line_number(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["name"] == "names[3]"
     rc, out, _ = run(capsys, "batch", table)
     assert rc == 0 and json.loads(out)["name"] == "names[3]"
+
+
+def test_named_empty_gauss_code_is_the_unknot(capsys, tmp_path):
+    table = tmp_path / "names.gauss"
+    table.write_text("unknot\t\n")
+    rc, out, err = run(capsys, "compute", table)
+    assert (rc, out, err) == (0, "unknot: 0\n", "")
+    rc, out, _ = run(capsys, "batch", table)
+    assert rc == 0 and json.loads(out)["name"] == "unknot"
+
+
+def test_gauss_crossing_id_zero_names_its_line(capsys, tmp_path):
+    table = tmp_path / "zero.gauss"
+    table.write_text("# table\nO0+U0+\n")
+    rc, out, err = run(capsys, "compute", table)
+    assert (rc, out) == (1, "")
+    assert err == "error: line 2: crossing 0: id must be a positive integer\n"

@@ -42,15 +42,18 @@ def test_parse_gauss_errors():
         parse_gauss("O1+O1+")         # duplicate over pass
     with pytest.raises(GaussError):
         parse_gauss("O1+X2-U1+")      # bad token
+    with pytest.raises(GaussError, match="crossing 0: id must be a positive integer"):
+        parse_gauss("O0+U0+")
 
 
 def test_parse_gauss_file():
     text = "# table\nfirst\tO1+U1+\nO1-U2-O1... oops"
     with pytest.raises(GaussError, match="line 3"):
         parse_gauss_file(text)
-    entries = parse_gauss_file("# c\nname\tO1+U1+\nO1-U1-\n")
+    entries = parse_gauss_file("# c\nname\tO1+U1+\nO1-U1-\nunknot\t\n")
     assert entries[0][0] == "name"
     assert entries[1][0] is None
+    assert entries[2] == ("unknot", ())  # a named empty code
 
 
 def test_frame_sign():
