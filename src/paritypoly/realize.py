@@ -10,6 +10,10 @@ private horizontal bus and private vertical channels.  Every intersection
 between routed arcs away from the crossing sites becomes a virtual
 crossing, with its frame bit read off the two travel directions.
 
+One west-to-east sweep finds the K intersections of the S segments in
+O((S + K) log S) and gives each segment its hits in travel order, so the
+passes are read off in one loop over the segments.
+
 All geometry is exact integer arithmetic.  The construction never tries to
 minimize virtual crossings; it only guarantees transversality: if any
 degeneracy survives the channel allocation (it cannot, but the checks
@@ -19,6 +23,7 @@ stay), realization fails loudly rather than mis-setting a frame bit.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (
@@ -178,54 +183,63 @@ def _segments(verts: List[Point]) -> List[Tuple[Point, Point]]:
     return segs
 
 
-def _intersections(segs: List[Tuple[Point, Point]]) -> Dict[Point, Tuple[int, int]]:
-    """Strict-interior crossings between non-adjacent segments.
+def _intersections(segs: List[Tuple[Point, Point]]) -> List[List[Point]]:
+    """Each segment's strict-interior crossings, in its travel order.
 
-    Anything else that touches (overlap, T-junction, kiss) is a degeneracy
-    and raises; the channel allocation is designed to make that impossible.
+    A horizontal segment is in the y-sorted active list from its west end
+    to its east end; each vertical one asks for those in its closed y
+    range.  At equal x, opens come before queries and queries before
+    closes, so every touching pair is found.  A touch other than a strict
+    crossing (overlap, T-junction, kiss) raises unless the two segments are
+    adjacent and meet at their shared end.
     """
     m = len(segs)
-    horiz = []
-    vert = []
-    for i, (a, b) in enumerate(segs):
-        if a[1] == b[1]:
-            horiz.append((i, min(a[0], b[0]), max(a[0], b[0]), a[1]))
-        else:
-            vert.append((i, min(a[1], b[1]), max(a[1], b[1]), a[0]))
 
     def adjacent(i: int, j: int) -> bool:
         return (i + 1) % m == j or (j + 1) % m == i
 
-    # collinear overlap checks
-    for group, along in ((horiz, "y"), (vert, "x")):
-        by_line: Dict[int, List[Tuple[int, int, int]]] = {}
-        for i, lo, hi, coord in group:
-            by_line.setdefault(coord, []).append((lo, hi, i))
-        for coord, items in by_line.items():
-            items.sort()
-            for (lo1, hi1, i1), (lo2, hi2, i2) in zip(items, items[1:]):
-                if lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2)):
-                    raise RealizationError(
-                        f"collinear segments touch on {along}={coord}: #{i1}, #{i2}")
+    span: List[Tuple[int, int, int]] = []  # (lo, hi, line): extent along the segment's line
+    events: List[Tuple[int, int, int]] = []  # (x, 0 open / 1 query / 2 close, segment)
+    lines: List[Tuple[int, int, int, int, int]] = []  # (axis, line, lo, hi, segment)
+    for i, ((ax, ay), (bx, by)) in enumerate(segs):
+        axis = int(ay != by)  # 0 horizontal, 1 vertical
+        e1, e2 = (ay, by) if axis else (ax, bx)
+        lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
+        span.append((lo, hi, ax if axis else ay))
+        lines.append((axis, span[i][2], lo, hi, i))
+        events += [(ax, 1, i)] if axis else [(lo, 0, i), (hi, 2, i)]
 
-    out: Dict[Point, Tuple[int, int]] = {}
-    for hi_, hx1, hx2, hy in horiz:
-        for vi_, vy1, vy2, vx in vert:
-            touches_x = hx1 <= vx <= hx2
-            touches_y = vy1 <= hy <= vy2
-            if not (touches_x and touches_y):
-                continue
-            strict = hx1 < vx < hx2 and vy1 < hy < vy2
-            if not strict:
-                if adjacent(hi_, vi_):
-                    continue
-                raise RealizationError(
-                    f"segments #{hi_}, #{vi_} touch non-transversally at {(vx, hy)}")
-            p = (vx, hy)
-            if p in out:
-                raise RealizationError(f"three segments meet at {p}")
-            out[p] = (hi_, vi_)
-    return out
+    hits: List[List[Point]] = [[] for _ in segs]
+    active: List[Tuple[int, int]] = []  # (y, segment) of the open horizontals
+    crossed = set()
+    for x, kind, i in sorted(events):
+        if kind == 0:
+            insort(active, (span[i][2], i))
+        elif kind == 2:
+            del active[bisect_left(active, (span[i][2], i))]
+        else:
+            y1, y2, _x = span[i]
+            for y, h in active[bisect_left(active, (y1, -1)):bisect_right(active, (y2, m))]:
+                if not (span[h][0] < x < span[h][1] and y1 < y < y2):
+                    if adjacent(h, i):
+                        continue
+                    raise RealizationError(
+                        f"segments #{h}, #{i} touch non-transversally at {(x, y)}")
+                p = (x, y)
+                if p in crossed:
+                    raise RealizationError(f"three segments meet at {p}")
+                crossed.add(p)
+                hits[h].append(p)
+                hits[i].append(p)
+    lines.sort()
+    for (axis1, c1, _lo1, hi1, i1), (axis2, c2, lo2, _hi2, i2) in zip(lines, lines[1:]):
+        if (axis1, c1) == (axis2, c2) and (lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2))):
+            raise RealizationError(
+                f"collinear segments touch on {'yx'[axis1]}={c1}: #{i1}, #{i2}")
+    for (a, b), seg_hits in zip(segs, hits):
+        if b < a:  # travels west or south
+            seg_hits.reverse()
+    return hits
 
 
 def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
@@ -235,6 +249,7 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
     basepoint); the geometric sign at each classical site equals the coded
     sign; every virtual crossing carries the frame bit of the pass whose
     direction, followed by the other pass's direction, is a positive frame.
+    Virtual ids run on from the largest classical id in first-visit order.
     Two strategies (0 and 1) allocate routing channels in opposite orders
     and generally produce different diagrams of the same knot.
     """
@@ -245,53 +260,37 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
     perm = list(range(m)) if strategy == 0 else list(reversed(range(m)))
     # crossing sites on the x-axis, 100 apart, in order of first appearance
     x_of = {cid: 100 * (i + 1) for i, cid in enumerate(dict.fromkeys(c for c, _k, _s in g))}
-    verts = _route_vertices(g, perm, x_of)
-    segs = _segments(verts)
-    crossings = _intersections(segs)
-
+    segs = _segments(_route_vertices(g, perm, x_of))
     center_of = {(x, 0): cid for cid, x in x_of.items()}
     sign_of = {cid: s for cid, _k, s in g}
 
-    # events per segment, ordered along the travel direction
-    events_by_seg: Dict[int, List[Tuple[int, Point]]] = {}
-    for p, (hi_, vi_) in crossings.items():
-        for si in (hi_, vi_):
-            a, b = segs[si]
-            t = abs(p[0] - a[0]) + abs(p[1] - a[1])
-            events_by_seg.setdefault(si, []).append((t, p))
-
-    passes: List[Tuple[Point, str, Tuple[int, int]]] = []
-    for si, (a, b) in enumerate(segs):
+    final: List[Optional[Pass]] = []
+    next_vid = max(x_of) + 1
+    # virtual point -> (pass index, direction, id) of its first visit; None after the second
+    first: Dict[Point, Optional[Tuple[int, Tuple[int, int], int]]] = {}
+    for (a, b), seg_hits in zip(segs, _intersections(segs)):
         d = ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
-        for _t, p in sorted(events_by_seg.get(si, [])):
-            if p in center_of:
-                kind = OVER if a[1] == b[1] else UNDER
-                passes.append((p, kind, d))
+        for p in seg_hits:
+            cid = center_of.get(p)
+            if cid is not None:
+                # classical sign sanity: over runs east, under runs north for +, south for -
+                if a[1] != b[1] and frame_sign((1, 0), d) != sign_of[cid]:
+                    raise RealizationError(f"geometric sign mismatch at crossing {cid}")
+                final.append(Pass(cid, OVER if a[1] == b[1] else UNDER))
+            elif p not in first:
+                first[p] = (len(final), d, next_vid)
+                final.append(None)  # filled in at the second visit, which fixes the frame bit
+                next_vid += 1
+            elif first[p] is None:
+                raise RealizationError("virtual crossing visited other than twice")
             else:
-                passes.append((p, VIRTUAL, d))
-
-    # classical sign sanity: over runs east, under runs north for +, south for -
-    for p, kind, d in passes:
-        if kind == UNDER:
-            cid = center_of[p]
-            if frame_sign((1, 0), d) != sign_of[cid]:
-                raise RealizationError(f"geometric sign mismatch at crossing {cid}")
-
-    # each virtual point -> its two pass indices, points in first-visit order
-    visits: Dict[Point, List[int]] = {}
-    for idx, (p, kind, _d) in enumerate(passes):
-        if kind == VIRTUAL:
-            visits.setdefault(p, []).append(idx)
-    virtual: Dict[int, Pass] = {}
-    for vid, idxs in enumerate(visits.values(), start=max(x_of) + 1):
-        if len(idxs) != 2:
-            raise RealizationError("virtual crossing visited other than twice")
-        first, second = idxs
-        framed = frame_sign(passes[first][2], passes[second][2]) > 0
-        virtual[first] = Pass(vid, VIRTUAL, framed)
-        virtual[second] = Pass(vid, VIRTUAL, not framed)
-    final = [virtual[idx] if kind == VIRTUAL else Pass(center_of[p], kind)
-             for idx, (p, kind, _d) in enumerate(passes)]
+                j, d1, vid = first[p]
+                first[p] = None
+                framed = frame_sign(d1, d) > 0
+                final[j] = Pass(vid, VIRTUAL, framed)
+                final.append(Pass(vid, VIRTUAL, not framed))
+    if any(visit is not None for visit in first.values()):
+        raise RealizationError("virtual crossing visited other than twice")
 
     code = DiagramCode(tuple(final), dict(sign_of))
     if classical_gauss_code(code) != tuple(g):

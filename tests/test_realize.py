@@ -7,13 +7,13 @@ import pytest
 from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import classical_gauss_code, validate
 from paritypoly.realize import (
-    GaussError, RealizationError, frame_sign, gauss_to_text, parse_gauss,
-    parse_gauss_file, realize,
+    GaussError, RealizationError, _intersections, _route_vertices, _segments,
+    frame_sign, gauss_to_text, parse_gauss, parse_gauss_file, realize,
 )
 
 
-def random_gauss(rng, max_crossings=6):
-    n = rng.randint(1, max_crossings)
+def random_gauss(rng, max_crossings=6, min_crossings=1):
+    n = rng.randint(min_crossings, max_crossings)
     order = list(range(2 * n))
     rng.shuffle(order)
     entries = [None] * (2 * n)
@@ -67,12 +67,21 @@ def test_realize_empty():
     assert realize(()) .passes == ()
 
 
+def assert_virtual_numbering(code):
+    """Virtual ids avoid the classical ones and run consecutively from the
+    largest classical id + 1, in the order they are first visited."""
+    vids = code.virtual_ids()
+    assert set(vids).isdisjoint(code.signs)
+    start = max(code.signs) + 1
+    assert vids == list(range(start, start + len(vids)))
+
+
 def test_realize_single_kink():
     g = parse_gauss("O1+U1+")
     code = realize(g)
     assert validate(code) == []
     assert classical_gauss_code(code) == g
-    assert all(c in code.signs or True for c in code.virtual_ids())
+    assert_virtual_numbering(code)
 
 
 def test_round_trip_random():
@@ -82,6 +91,7 @@ def test_round_trip_random():
         code = realize(g)
         assert validate(code) == []
         assert classical_gauss_code(code) == g
+        assert_virtual_numbering(code)
         # every extra crossing is virtual with exactly one frame bit
         for cid in code.virtual_ids():
             frames = [p.frame for p in code.passes if p.cid == cid]
@@ -89,10 +99,12 @@ def test_round_trip_random():
 
 
 def test_routing_strategy_independence():
-    # the invariant may not depend on how the knot was routed
+    # the invariant may not depend on how the knot was routed; the last code
+    # has 40 crossings, so its segments carry dozens of hits
     rng = random.Random(101)
-    for _ in range(15):
-        g = random_gauss(rng, max_crossings=5)
+    codes = [random_gauss(rng, max_crossings=5) for _ in range(15)]
+    codes.append(random_gauss(random.Random(40), max_crossings=40, min_crossings=40))
+    for g in codes:
         a = realize(g, strategy=0)
         b = realize(g, strategy=1)
         if a == b:
@@ -112,7 +124,7 @@ def test_realize_arbitrary_ids():
     code = realize(g)
     assert classical_gauss_code(code) == g
     assert set(code.signs) == {3, 7}
-    assert min(code.virtual_ids(), default=8) >= 8
+    assert_virtual_numbering(code)
 
 
 def test_q_grading_reparametrization_on_even_diagrams():
@@ -150,3 +162,115 @@ def test_q_grading_reparametrization_on_even_diagrams():
     odd_inv = parity_alexander(realize(parse_gauss("U1+U2-O1+U3-O2-O3-"))).canonical
     assert not odd_inv.is_zero()
     assert regrade(q_one_slice(odd_inv)).canonical() != odd_inv.canonical()
+
+
+# -- the crossing search --------------------------------------------------------
+
+
+def routed_segments(g, strategy):
+    m = len(g)
+    perm = list(range(m)) if strategy == 0 else list(reversed(range(m)))
+    x_of = {cid: 100 * (i + 1) for i, cid in enumerate(dict.fromkeys(c for c, _k, _s in g))}
+    return _segments(_route_vertices(g, perm, x_of))
+
+
+def all_pairs_intersections(segs):
+    """Reference crossing search: every horizontal against every vertical.
+
+    Returns each segment's strict crossings in travel order, as the sweep
+    does, and raises on the same degeneracies.
+    """
+    m = len(segs)
+    horiz = []
+    vert = []
+    for i, (a, b) in enumerate(segs):
+        if a[1] == b[1]:
+            horiz.append((i, min(a[0], b[0]), max(a[0], b[0]), a[1]))
+        else:
+            vert.append((i, min(a[1], b[1]), max(a[1], b[1]), a[0]))
+
+    def adjacent(i, j):
+        return (i + 1) % m == j or (j + 1) % m == i
+
+    for group, along in ((horiz, "y"), (vert, "x")):
+        by_line = {}
+        for i, lo, hi, coord in group:
+            by_line.setdefault(coord, []).append((lo, hi, i))
+        for coord, items in by_line.items():
+            items.sort()
+            for (lo1, hi1, i1), (lo2, hi2, i2) in zip(items, items[1:]):
+                if lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2)):
+                    raise RealizationError(
+                        f"collinear segments touch on {along}={coord}: #{i1}, #{i2}")
+
+    out = {}
+    for hi_, hx1, hx2, hy in horiz:
+        for vi_, vy1, vy2, vx in vert:
+            if not (hx1 <= vx <= hx2 and vy1 <= hy <= vy2):
+                continue
+            if not (hx1 < vx < hx2 and vy1 < hy < vy2):
+                if adjacent(hi_, vi_):
+                    continue
+                raise RealizationError(
+                    f"segments #{hi_}, #{vi_} touch non-transversally at {(vx, hy)}")
+            p = (vx, hy)
+            if p in out:
+                raise RealizationError(f"three segments meet at {p}")
+            out[p] = (hi_, vi_)
+
+    hits = [[] for _ in segs]
+    for p, pair in out.items():
+        for si in pair:
+            hits[si].append(p)
+    for (a, _b), seg_hits in zip(segs, hits):
+        seg_hits.sort(key=lambda p: abs(p[0] - a[0]) + abs(p[1] - a[1]))
+    return hits
+
+
+def test_sweep_equals_all_pairs_scan():
+    rng = random.Random(19)
+    for _ in range(60):
+        g = random_gauss(rng, max_crossings=30)
+        for strategy in (0, 1):
+            segs = routed_segments(g, strategy)
+            assert _intersections(segs) == all_pairs_intersections(segs), gauss_to_text(g)
+
+
+# Hand-built segment lists.  Far-away verticals pad each list, so that the
+# segments under test are not neighbours in the cyclic order.
+PAD = [((1000 * k, 1000), (1000 * k, 1100)) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("segs, message", [
+    # collinear overlap
+    ([((0, 0), (10, 0)), PAD[0], ((5, 0), (15, 0)), PAD[1]], "collinear"),
+    ([((0, 0), (0, 10)), PAD[0], ((0, 5), (0, 15)), PAD[1]], "collinear"),
+    # collinear end-to-end touch of non-adjacent segments
+    ([((0, 0), (10, 0)), PAD[0], ((10, 0), (20, 0)), PAD[1]], "collinear"),
+    # T-junction, corner touch and kiss of non-adjacent segments
+    ([((0, 0), (10, 0)), PAD[0], ((5, 0), (5, 10)), PAD[1]], "non-transversally"),
+    ([((0, 0), (10, 0)), PAD[0], ((10, 0), (10, 10)), PAD[1]], "non-transversally"),
+    ([((0, 0), (10, 0)), PAD[0], ((5, -10), (5, 0)), PAD[1]], "non-transversally"),
+    # three segments through one point: two strict crossings at (5, 0)
+    ([((0, 0), (10, 0)), PAD[0], ((5, -5), (5, 5)), PAD[1], ((2, 0), (8, 0)), PAD[2]],
+     "three segments meet"),
+])
+def test_crossing_search_degeneracies_raise(segs, message):
+    with pytest.raises(RealizationError, match=message):
+        _intersections(segs)
+    with pytest.raises(RealizationError):
+        all_pairs_intersections(segs)
+
+
+def test_crossing_search_allows_adjacent_corners():
+    # a closed square: each corner is the shared end of adjacent segments
+    square = [((0, 0), (10, 0)), ((10, 0), (10, 10)), ((10, 10), (0, 10)), ((0, 10), (0, 0))]
+    assert _intersections(square) == [[], [], [], []]
+    # a straight run split in two adjacent pieces
+    run = [((0, 0), (5, 0)), ((5, 0), (10, 0)), ((10, 0), (10, 5)), ((10, 5), (0, 5)),
+           ((0, 5), (0, 0))]
+    assert _intersections(run) == [[]] * 5
+    # a loop that crosses itself once: the hit comes back on both segments
+    loop = [((0, 0), (10, 0)), ((10, 0), (10, 5)), ((10, 5), (5, 5)),
+            ((5, 5), (5, -5)), ((5, -5), (0, -5)), ((0, -5), (0, 0))]
+    assert _intersections(loop) == [[(5, 0)], [], [], [(5, 0)], [], []]
