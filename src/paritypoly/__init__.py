@@ -10,8 +10,8 @@ from .laurent import LaurentPoly, InexactDivision
 from .diagram import (
     Crossing, DiagramCode, DiagramError, MoveError, Pass,
     apply_move, classical_gauss_code, crossings, flip, parity, parse_diagram,
-    parse_vkd, relabel, reverse, shift_basepoint, switch, switched_flip,
-    validate,
+    parse_vkd, relabel, reverse, shift_basepoint, switch, switch_crossing,
+    switched_flip, validate,
 )
 from .realize import GaussError, RealizationError, frame_sign, parse_gauss, realize
 from .alexander import (
@@ -19,7 +19,7 @@ from .alexander import (
     build_full_matrix_M, build_matrix_A, check_even_skein,
     check_symmetries, crossing_bounds, crossing_relators, determinant,
     determinant_cofactor, gcd_of_minors, group_presentation,
-    parity_alexander, skein_matrices, switch_crossing,
+    parity_alexander, skein_matrices,
 )
 
 __version__ = "0.1.0"

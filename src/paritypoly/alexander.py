@@ -100,9 +100,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
-    ODD, OVER, UNDER,
-    Crossing, DiagramCode, DiagramError, Pass, crossings,
+    ODD,
+    Crossing, DiagramCode, DiagramError, crossings,
     switch, flip, reverse, switched_flip,
+    switch_crossing,  # re-exported: the odd-switch checks import it from here
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
 from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, LaurentPoly
@@ -703,25 +704,6 @@ def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
         d_plus=dp, d_minus=dm, d_smooth=dv,
         proof_form_holds=(dp - st * dm == (LaurentPoly.one() - st) * dv),
     )
-
-
-def switch_crossing(code: DiagramCode, crossing_id: int) -> DiagramCode:
-    """Swap over/under and negate the sign at one classical crossing.
-
-    For an odd crossing this leaves the relator pair unchanged word for
-    word (the odd relations are sign-free and the frame, hence the role
-    assignment, is direction-determined), so the invariant is unchanged
-    exactly.
-    """
-    if crossing_id not in code.signs:
-        raise DiagramError(f"crossing {crossing_id} is not classical")
-    passes = tuple(
-        Pass(p.cid, UNDER if p.kind == OVER else OVER) if p.cid == crossing_id else p
-        for p in code.passes
-    )
-    signs = dict(code.signs)
-    signs[crossing_id] = -signs[crossing_id]
-    return DiagramCode(passes, signs)
 
 
 # -- symmetry checks -----------------------------------------------------------------

@@ -28,6 +28,9 @@ crossings this means: positive sign => x is the over-incoming arc,
 negative sign => x is the under-incoming arc.  For virtual crossings the
 frame bit marks the X pass directly.  ``crossings`` applies this rule and
 sorts each crossing into its class, "virtual", "odd", "even+" or "even-".
+A classical crossing is odd iff an odd number of classical passes lie
+between its two passes: virtual passes are ignored, and either gap gives
+the same parity, since the classical passes are even in number.
 
 A ``DiagramCode`` is checked when it is built: its constructor raises
 ``DiagramError`` naming every violated invariant.  Every code, parsed,
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 OVER = "O"
 UNDER = "U"
@@ -219,33 +222,6 @@ def format_vkd(entries: Iterable[Tuple[Optional[str], DiagramCode]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- parity -------------------------------------------------------------------
-
-
-def parity(code: DiagramCode) -> Dict[int, str]:
-    """Classify each classical crossing as even or odd.
-
-    A crossing is odd iff an odd number of classical passes lie strictly
-    between its two occurrences in the cyclic sequence; virtual passes are
-    ignored, matching the classical-only Gauss code.  The parity does not
-    depend on which of the two gaps is counted, because the total number
-    of classical passes is even.
-    """
-    first: Dict[int, int] = {}  # cid -> index of its first classical pass
-    out: Dict[int, str] = {}
-    k = 0
-    for p in code.passes:
-        if p.kind == VIRTUAL:
-            continue
-        if p.cid in first:
-            out[p.cid] = ODD if (k - first[p.cid] - 1) % 2 else EVEN
-        else:
-            first[p.cid] = k
-            out[p.cid] = EVEN  # keeps first-appearance order; set on the second pass
-        k += 1
-    return out
-
-
 # -- the crossing table -------------------------------------------------------
 
 
@@ -268,13 +244,18 @@ def crossings(code: DiagramCode) -> List[Crossing]:
     """Every crossing's class and role arcs, in ascending id order.
 
     This is the one place that numbers the semi-arcs and reads sign, parity
-    and frame bit to classify a crossing and assign its roles.
+    and frame bit to classify a crossing and assign its roles.  The walk
+    counts classical passes only: a crossing is odd iff the count between
+    its two passes is odd, and the other gap gives the same parity.
     """
     n = len(code.passes)
-    parities = parity(code)
     first: Dict[int, int] = {}  # cid -> position of its first pass
+    before: List[int] = []  # position -> classical passes before it
+    k = 0
     out: List[Crossing] = []
     for pos, p in enumerate(code.passes):
+        before.append(k)
+        k += p.kind != VIRTUAL
         i = first.pop(p.cid, None)
         if i is None:
             first[p.cid] = pos
@@ -284,12 +265,19 @@ def crossings(code: DiagramCode) -> List[Crossing]:
             cls = "virtual"
             x_first = code.passes[i].frame
         else:
-            cls = ODD if parities[p.cid] == ODD else "even+" if sign > 0 else "even-"
+            cls = ODD if (before[pos] - before[i] - 1) % 2 else "even+" if sign > 0 else "even-"
             x_first = code.passes[i].kind == (OVER if sign > 0 else UNDER)
         x, y = (i, pos) if x_first else (pos, i)
         out.append(Crossing(p.cid, cls, x or n, y or n, y + 1, x + 1))
     out.sort()
     return out
+
+
+def parity(code: DiagramCode) -> Dict[int, str]:
+    """Each classical crossing's parity, ODD or EVEN, in ascending id order:
+    the parity ``crossings`` reads."""
+    return {c.cid: ODD if c.cls == ODD else EVEN
+            for c in crossings(code) if c.cls != "virtual"}
 
 
 # -- symmetry operators ---------------------------------------------------------
@@ -304,13 +292,29 @@ def reverse(code: DiagramCode) -> DiagramCode:
     return DiagramCode(tuple(reversed(code.passes)), dict(code.signs))
 
 
+def _switched(code: DiagramCode, ids: Container[int]) -> DiagramCode:
+    """Over/under swapped and sign negated at the classical crossings ``ids``."""
+    passes = tuple(Pass(p.cid, UNDER if p.kind == OVER else OVER) if p.cid in ids else p
+                   for p in code.passes)
+    return DiagramCode(passes, {c: -s if c in ids else s for c, s in code.signs.items()})
+
+
 def switch(code: DiagramCode) -> DiagramCode:
     """Switch every classical crossing: over/under swapped, sign negated."""
-    passes = tuple(
-        Pass(p.cid, UNDER if p.kind == OVER else OVER) if p.kind != VIRTUAL else p
-        for p in code.passes
-    )
-    return DiagramCode(passes, {c: -s for c, s in code.signs.items()})
+    return _switched(code, code.signs)
+
+
+def switch_crossing(code: DiagramCode, crossing_id: int) -> DiagramCode:
+    """Switch one classical crossing.
+
+    For an odd crossing this leaves the relator pair unchanged word for
+    word (the odd relations are sign-free and the frame, hence the role
+    assignment, is direction-determined), so the invariant is unchanged
+    exactly.
+    """
+    if crossing_id not in code.signs:
+        raise DiagramError(f"crossing {crossing_id} is not classical")
+    return _switched(code, {crossing_id})
 
 
 def flip(code: DiagramCode) -> DiagramCode:
@@ -362,32 +366,19 @@ def classical_gauss_code(code: DiagramCode) -> Tuple[Tuple[int, str, int], ...]:
 # -- code equivalence up to basepoint and labels --------------------------------
 
 
+def _first_appearance_form(passes: Tuple[Pass, ...], signs: Dict[int, int]) -> Tuple:
+    """The code with its ids renamed 1, 2, ... in order of first appearance."""
+    new = {c: i for i, c in enumerate(dict.fromkeys(p.cid for p in passes), start=1)}
+    return (tuple(Pass(new[p.cid], p.kind, p.frame) for p in passes),
+            {new[c]: s for c, s in signs.items()})
+
+
 def same_up_to_shift_relabel(a: DiagramCode, b: DiagramCode) -> bool:
     """True iff the codes agree after some basepoint shift and id renaming."""
-    if len(a.passes) != len(b.passes):
-        return False
-    n = len(a.passes)
-    if n == 0:
-        return True
-    for k in range(n):
-        rot = b.passes[k:] + b.passes[:k]
-        mapping: Dict[int, int] = {}
-        ok = True
-        for pa, pb in zip(a.passes, rot):
-            if pa.kind != pb.kind or (pa.kind == VIRTUAL and pa.frame != pb.frame):
-                ok = False
-                break
-            if pa.cid in mapping:
-                if mapping[pa.cid] != pb.cid:
-                    ok = False
-                    break
-            else:
-                mapping[pa.cid] = pb.cid
-        if not ok or len(set(mapping.values())) != len(mapping):
-            continue
-        if all(a.signs.get(c) == b.signs.get(mapping[c]) for c in mapping):
-            return True
-    return False
+    form = _first_appearance_form(a.passes, a.signs)
+    return len(a) == len(b) and any(
+        _first_appearance_form(b.passes[k:] + b.passes[:k], b.signs) == form
+        for k in range(max(len(b), 1)))
 
 
 # -- elementary moves ------------------------------------------------------------
@@ -435,34 +426,67 @@ def _insert(code: DiagramCode, sites: List[Tuple[int, List[Pass]]],
     return DiagramCode(tuple(passes), signs)
 
 
-def _remove_positions(code: DiagramCode, positions: Sequence[int],
-                      drop_ids: Sequence[int]) -> DiagramCode:
-    keep = [p for i, p in enumerate(code.passes) if i not in set(positions)]
-    signs = {c: s for c, s in code.signs.items() if c not in set(drop_ids)}
-    return DiagramCode(tuple(keep), signs)
+_REMOVALS = ("r1_remove", "v1_remove", "r2_remove", "v2_remove")
 
 
-def _positions_of(code: DiagramCode, cid: int) -> List[int]:
-    return [i for i, p in enumerate(code.passes) if p.cid == cid]
-
-
-def _adjacent(code: DiagramCode, i: int, j: int) -> bool:
+def _removal_check(code: DiagramCode) -> Callable[[Tuple], List[int]]:
+    """The removal rule on ``code``: a function from a removal move to the
+    positions of the passes it drops.  It raises MoveError, naming the first
+    unmet condition, when the move's pattern is absent.  R1/V1 want the
+    crossing's two passes adjacent.  R2/V2 want each pass of c adjacent to
+    one of d (the first such pairing is read), and the pair at c's first
+    pass two over or two under passes (R2) or holding one frame bit (V2)."""
     n = len(code.passes)
-    return (i + 1) % n == j or (j + 1) % n == i
+    at: Dict[int, List[int]] = {}  # cid -> positions of its two passes
+    for i, p in enumerate(code.passes):
+        at.setdefault(p.cid, []).append(i)
 
+    def adjacent(i: int, j: int) -> bool:
+        return (i + 1) % n == j or (j + 1) % n == i
 
-def _adjacent_pairs(code: DiagramCode, c: int, d: int, pc: List[int], pd: List[int]
-                    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The passes of c and d (at positions pc and pd) as two adjacent
-    (c pass, d pass) position pairs."""
-    for i, j in ((0, 1), (1, 0)):
-        if _adjacent(code, pc[0], pd[i]) and _adjacent(code, pc[1], pd[j]):
-            return (pc[0], pd[i]), (pc[1], pd[j])
-    raise MoveError(f"crossings {c},{d}: passes do not form two adjacent pairs")
+    def removed(move: Tuple) -> List[int]:
+        kind = move[0]
+        if kind in _REMOVALS[:2]:
+            _, cid = move
+            want = "classical" if kind == "r1_remove" else "virtual"
+            if (cid in code.signs) != (want == "classical") or cid not in at:
+                raise MoveError(f"crossing {cid} is not {want}")
+            if not adjacent(*at[cid]):
+                raise MoveError(f"crossing {cid}: passes are not adjacent")
+            return at[cid]
+        _, c, d = move
+        if kind == "r2_remove":
+            if c not in code.signs or d not in code.signs or c == d:
+                raise MoveError(f"r2_remove needs two distinct classical crossings, got {c},{d}")
+            if code.signs[c] + code.signs[d] != 0:
+                raise MoveError(f"crossings {c},{d} do not have opposite signs")
+        else:
+            if c == d or c not in at or d not in at:
+                raise MoveError(f"v2_remove needs two distinct crossings, got {c},{d}")
+            if c in code.signs or d in code.signs:
+                raise MoveError(f"crossings {c},{d} are not both virtual")
+        (c0, c1), (d0, d1) = at[c], at[d]
+        if not (adjacent(c0, d0) and adjacent(c1, d1)):
+            d0, d1 = d1, d0
+            if not (adjacent(c0, d0) and adjacent(c1, d1)):
+                raise MoveError(f"crossings {c},{d}: passes do not form two adjacent pairs")
+        p, q = code.passes[c0], code.passes[d0]
+        if kind == "r2_remove" and p.kind != q.kind:
+            raise MoveError(f"crossings {c},{d}: over/under pattern is not a bigon")
+        if kind == "v2_remove" and p.frame == q.frame:
+            raise MoveError(f"crossings {c},{d}: frame bits are not complementary")
+        return [c0, c1, d0, d1]
+
+    return removed
 
 
 def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
     kind = move[0]
+
+    if kind in _REMOVALS:
+        drop = set(_removal_check(code)(move))
+        return DiagramCode(tuple(p for i, p in enumerate(code.passes) if i not in drop),
+                           {c: s for c, s in code.signs.items() if c not in move[1:]})
 
     if kind == "r1_insert":
         _, arc, side, sign = move
@@ -474,30 +498,12 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
             block.reverse()
         return _insert(code, [(arc, block)], {cid: sign})
 
-    if kind == "r1_remove":
-        _, cid = move
-        if cid not in code.signs:
-            raise MoveError(f"crossing {cid} is not classical")
-        i, j = _positions_of(code, cid)
-        if not _adjacent(code, i, j):
-            raise MoveError(f"crossing {cid}: passes are not adjacent")
-        return _remove_positions(code, [i, j], [cid])
-
     if kind == "v1_insert":
         arc = move[1]
         first_frame = len(move) < 3 or move[2] != "y"
         (cid,) = _fresh_ids(code, 1)
         block = [Pass(cid, VIRTUAL, first_frame), Pass(cid, VIRTUAL, not first_frame)]
         return _insert(code, [(arc, block)], {})
-
-    if kind == "v1_remove":
-        _, cid = move
-        pos = _positions_of(code, cid)
-        if len(pos) != 2 or any(code.passes[i].kind != VIRTUAL for i in pos):
-            raise MoveError(f"crossing {cid} is not virtual")
-        if not _adjacent(code, pos[0], pos[1]):
-            raise MoveError(f"crossing {cid}: passes are not adjacent")
-        return _remove_positions(code, pos, [cid])
 
     if kind == "r2_insert":
         _, arc1, arc2, variant = move
@@ -515,23 +521,6 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
             site2.reverse()
         return _insert(code, [(arc1, site1), (arc2, site2)], {c: lead, d: -lead})
 
-    if kind == "r2_remove":
-        _, c, d = move
-        if c not in code.signs or d not in code.signs or c == d:
-            raise MoveError(f"r2_remove needs two distinct classical crossings, got {c},{d}")
-        if code.signs[c] + code.signs[d] != 0:
-            raise MoveError(f"crossings {c},{d} do not have opposite signs")
-        pc, pd = _positions_of(code, c), _positions_of(code, d)
-        pairing = _adjacent_pairs(code, c, d, pc, pd)
-        kinds = [
-            {code.passes[a].kind, code.passes[b].kind}
-            for a, b in pairing
-        ]
-        if not (kinds[0] == {OVER} and kinds[1] == {UNDER}
-                or kinds[0] == {UNDER} and kinds[1] == {OVER}):
-            raise MoveError(f"crossings {c},{d}: over/under pattern is not a bigon")
-        return _remove_positions(code, [*pairing[0], *pairing[1]], [c, d])
-
     if kind == "v2_insert":
         arc1, arc2 = move[1], move[2]
         parallel = len(move) < 4 or move[3] != "anti"
@@ -542,41 +531,23 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
             site2.reverse()
         return _insert(code, [(arc1, site1), (arc2, site2)], {})
 
-    if kind == "v2_remove":
-        _, c, d = move
-        pc, pd = _positions_of(code, c), _positions_of(code, d)
-        if c == d or len(pc) != 2 or len(pd) != 2:
-            raise MoveError(f"v2_remove needs two distinct crossings, got {c},{d}")
-        if any(code.passes[i].kind != VIRTUAL for i in pc + pd):
-            raise MoveError(f"crossings {c},{d} are not both virtual")
-        pairing = _adjacent_pairs(code, c, d, pc, pd)
-        frames1 = sum(1 for k in pairing[0] if code.passes[k].frame)
-        if frames1 != 1:
-            raise MoveError(f"crossings {c},{d}: frame bits are not complementary")
-        return _remove_positions(code, [*pairing[0], *pairing[1]], [c, d])
-
     raise MoveError(f"unknown move kind {kind!r}")
 
 
 def removal_sites(code: DiagramCode) -> List[Tuple]:
-    """Every removal move whose local pattern is present (preconditions met)."""
-    out: List[Tuple] = []
-    for cid in code.crossing_ids():
-        pos = _positions_of(code, cid)
-        if len(pos) == 2 and _adjacent(code, pos[0], pos[1]):
-            if cid in code.signs:
-                out.append(("r1_remove", cid))
-            else:
-                out.append(("v1_remove", cid))
+    """Every removal move whose local pattern is present: per crossing id,
+    r1 then v1; then per pair of ids, r2 then v2."""
+    removed = _removal_check(code)
     ids = code.crossing_ids()
-    for i, c in enumerate(ids):
-        for d in ids[i + 1:]:
-            for mv in (("r2_remove", c, d), ("v2_remove", c, d)):
-                try:
-                    apply_move(code, mv)
-                except (MoveError, DiagramError):
-                    continue
-                out.append(mv)
+    out: List[Tuple] = []
+    for move in ([(kind, c) for c in ids for kind in _REMOVALS[:2]]
+                 + [(kind, c, d) for i, c in enumerate(ids) for d in ids[i + 1:]
+                    for kind in _REMOVALS[2:]]):
+        try:
+            removed(move)
+        except MoveError:
+            continue
+        out.append(move)
     return out
 
 

@@ -15,11 +15,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import foxcalc as fx
 from .alexander import (
     build_full_matrix_M, build_matrix_A, check_even_skein, check_symmetries,
-    determinant, gcd_of_minors, parity_alexander, switch_crossing,
+    determinant, gcd_of_minors, parity_alexander,
 )
 from .diagram import (
     ODD, R2_VARIANTS, VIRTUAL, DiagramCode, Pass, apply_move, crossings,
-    random_code, relabel, removal_sites, shift_basepoint,
+    random_code, relabel, removal_sites, shift_basepoint, switch_crossing,
 )
 Check = Tuple[str, bool, str]  # label, passed, detail
 

@@ -11,7 +11,7 @@ from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     DiagramCode, DiagramError, EVEN, ODD, OVER, Pass, UNDER, VIRTUAL,
     apply_move, classical_gauss_code, crossings, flip, format_vkd, parity, parse_diagram,
-    parse_vkd, random_code, relabel, reverse, same_up_to_shift_relabel,
+    parse_vkd, random_code, random_code_of_size, relabel, reverse, same_up_to_shift_relabel,
     shift_basepoint, switch, switched_flip, validate,
 )
 from paritypoly.realize import parse_gauss, parse_gauss_file, realize
@@ -97,10 +97,15 @@ def test_parity_all_even_for_planar_classical_codes():
 
 def test_parity_matches_interlacement_oracle():
     # independent oracle: crossing c is odd iff an odd number of classical
-    # chords interleave with c's chord
+    # chords interleave with c's chord; the long codes (20-40 crossings, and
+    # realized fixtures with up to 126 virtual passes) test the one-walk count
     rng = random.Random(9)
-    for _ in range(60):
-        code = random_code(rng, max_crossings=6)
+    codes = [random_code(rng, max_crossings=6) for _ in range(60)]
+    codes += [random_code_of_size(rng, rng.randint(20, 40), rng.choice([0.2, 0.5, 0.8]))
+              for _ in range(40)]
+    codes += [realize(g, strategy=s) for path in sorted(FIXTURES.glob("*.gauss"))
+              for _name, g in parse_gauss_file(path.read_text()) for s in (0, 1)]
+    for code in codes:
         pos = {}
         for i, p in enumerate(code.passes):
             if p.kind != VIRTUAL:
@@ -165,7 +170,7 @@ def test_symmetry_operators_are_involutions():
         assert switch(switch(code)) == code
         assert flip(flip(code)) == code
         assert reverse(reverse(code)) == code
-        assert switched_flip(switch(flip(code))) == code or True  # composite below
+        assert switched_flip(switch(flip(code))) == code
         assert switched_flip(code) == switch(flip(code)) == flip(switch(code))
 
 

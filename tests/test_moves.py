@@ -1,6 +1,7 @@
 """Elementary moves: preconditions, inverse pairs, invariance, fixtures."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -65,21 +66,33 @@ def test_same_arc_r2_insert():
 
 def test_move_preconditions():
     code = parse_diagram("O1+ U2+ U1+ O2+")
-    with pytest.raises(MoveError):
-        apply_move(code, ("r1_remove", 1))        # passes not adjacent
-    with pytest.raises(MoveError):
-        apply_move(code, ("r2_remove", 1, 2))     # same signs, no bigon
-    with pytest.raises(MoveError):
-        apply_move(code, ("v1_remove", 1))        # not virtual
+    virtual = parse_diagram("V1x V2x V1y V2y")  # no kink, frames not complementary
+
+    def refused(code, move, message):
+        with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
+            apply_move(code, move)
+
+    refused(virtual, ("r1_remove", 1), "crossing 1 is not classical")
+    refused(code, ("r1_remove", 1), "crossing 1: passes are not adjacent")
+    refused(code, ("v1_remove", 1), "crossing 1 is not virtual")
+    refused(virtual, ("v1_remove", 1), "crossing 1: passes are not adjacent")
+    refused(code, ("r2_remove", 1, 1), "r2_remove needs two distinct classical crossings, got 1,1")
+    refused(code, ("r2_remove", 1, 2), "crossings 1,2 do not have opposite signs")
+    refused(parse_diagram("O1+ U1+ O2- O3+ U2- U3+"), ("r2_remove", 1, 2),
+            "crossings 1,2: passes do not form two adjacent pairs")
+    refused(parse_diagram("O1+ U2- U1+ O2-"), ("r2_remove", 1, 2),
+            "crossings 1,2: over/under pattern is not a bigon")
+    refused(virtual, ("v2_remove", 1, 1), "v2_remove needs two distinct crossings, got 1,1")
+    refused(code, ("v2_remove", 1, 2), "crossings 1,2 are not both virtual")
+    refused(parse_diagram("V1x V1y V2x V3x V2y V3y"), ("v2_remove", 1, 2),
+            "crossings 1,2: passes do not form two adjacent pairs")
+    refused(virtual, ("v2_remove", 1, 2), "crossings 1,2: frame bits are not complementary")
     with pytest.raises(MoveError):
         apply_move(code, ("r1_insert", 99, "o", 1))
     with pytest.raises(MoveError):
         apply_move(code, ("r2_insert", 1, 2, "zz"))
     kink = parse_diagram("O1+ U1+")
     assert apply_move(kink, ("r1_remove", 1)).passes == ()
-    both_virtual = parse_diagram("V1x V2x V1y V2y")
-    with pytest.raises(MoveError):
-        apply_move(both_virtual, ("v2_remove", 1, 2))  # frame bits not complementary
 
 
 def test_r2_insert_preserves_parity():
@@ -101,6 +114,37 @@ def test_removal_sites():
     assert "r1_remove" in kinds and "v1_remove" in kinds
     empty_sites = removal_sites(parse_diagram(""))
     assert empty_sites == []
+
+
+def test_removal_sites_are_the_removals_apply_move_accepts():
+    # every candidate in the documented order: per id r1 then v1, then per
+    # pair r2 then v2; inserted patterns make sites of all four kinds
+    rng = random.Random(203)
+    kinds = set()
+    for _ in range(200):
+        code = random_code(rng, max_crossings=4)
+        for _step in range(rng.randint(1, 3)):
+            a1, a2 = rng.randint(1, code.arc_count), rng.randint(1, code.arc_count)
+            code = apply_move(code, rng.choice([
+                ("r1_insert", a1, rng.choice("ou"), rng.choice([1, -1])),
+                ("v1_insert", a1),
+                ("r2_insert", a1, a2, rng.choice(R2_VARIANTS)),
+                ("v2_insert", a1, a2, rng.choice(["par", "anti"])),
+            ]))
+        ids = code.crossing_ids()
+        candidates = [(kind, c) for c in ids for kind in ("r1_remove", "v1_remove")]
+        candidates += [(kind, c, d) for i, c in enumerate(ids) for d in ids[i + 1:]
+                       for kind in ("r2_remove", "v2_remove")]
+        accepted = []
+        for move in candidates:
+            try:
+                apply_move(code, move)
+            except MoveError:
+                continue
+            accepted.append(move)
+        assert removal_sites(code) == accepted, code.to_text()
+        kinds.update(move[0] for move in accepted)
+    assert kinds == {"r1_remove", "v1_remove", "r2_remove", "v2_remove"}
 
 
 def test_invariance_under_random_moves_smoke():
