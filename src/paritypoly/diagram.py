@@ -383,47 +383,59 @@ def same_up_to_shift_relabel(a: DiagramCode, b: DiagramCode) -> bool:
 
 # -- elementary moves ------------------------------------------------------------
 
-# Moves are plain tuples:
-#   ("r1_insert", arc, side, sign)        side "o": over pass first, "u": under first
-#   ("r1_remove", cid)
-#   ("r2_insert", arc1, arc2, variant)    variant in {p,a}x{o,u}x{+,-}, e.g. "po+"
-#   ("r2_remove", cid1, cid2)
-#   ("v1_insert", arc)  /  ("v1_insert", arc, "y")
-#   ("v1_remove", cid)
-#   ("v2_insert", arc1, arc2)  /  ("v2_insert", arc1, arc2, "anti")
-#   ("v2_remove", cid1, cid2)
-# Arc indices follow the semi-arc labeling of the code the move applies to.
-
 R2_VARIANTS = tuple(p + o + s for p in "pa" for o in "ou" for s in "+-")
+_INSERTS = ("r1_insert", "v1_insert", "r2_insert", "v2_insert")
 
 
-def _fresh_ids(code: DiagramCode, k: int) -> List[int]:
-    top = max([p.cid for p in code.passes], default=0)
-    return [top + i + 1 for i in range(k)]
-
-
-def _check_arc(code: DiagramCode, arc: int) -> int:
-    """Map a 1-indexed arc label to the insertion position after it."""
-    n_arcs = code.arc_count
-    if not 1 <= arc <= n_arcs:
-        raise MoveError(f"arc {arc} out of range 1..{n_arcs}")
-    return arc % n_arcs
-
-
-def _insert(code: DiagramCode, sites: List[Tuple[int, List[Pass]]],
-            new_signs: Dict[int, int]) -> DiagramCode:
-    """Insert pass blocks into arc interiors; same-arc blocks concatenate
-    in the order given."""
-    placed: Dict[int, List[Pass]] = {}
+def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
+    """The insert rule.  The new crossings take the fresh ids c and d, the
+    largest id + 1 and + 2.  Each arc is checked against 1..arc_count in
+    the order the move gives, and blocks on one arc are placed in that
+    order.  A bad option raises MoveError before any arc is checked."""
+    kind = move[0]
+    c = max([p.cid for p in code.passes], default=0) + 1
+    d = c + 1
+    signs: Dict[int, int] = {}
+    if kind == "r1_insert":
+        _, arc, side, sign = move
+        if side not in ("o", "u") or sign not in (1, -1):
+            raise MoveError(f"bad r1_insert parameters {move!r}")
+        block = [Pass(c, OVER), Pass(c, UNDER)]
+        sites = [(arc, block if side == "o" else block[::-1])]
+        signs[c] = sign
+    elif kind == "v1_insert":
+        _, arc, *opt = move
+        if opt not in ([], ["y"]):
+            raise MoveError(f"bad v1_insert parameters {move!r}")
+        frame = not opt  # "y" moves the frame bit to the second pass
+        sites = [(arc, [Pass(c, VIRTUAL, frame), Pass(c, VIRTUAL, not frame)])]
+    elif kind == "r2_insert":
+        _, arc1, arc2, variant = move
+        if variant not in R2_VARIANTS:
+            raise MoveError(f"bad r2_insert variant {variant!r}")
+        k1, k2 = (OVER, UNDER) if variant[1] == "o" else (UNDER, OVER)
+        second = [Pass(c, k2), Pass(d, k2)]
+        sites = [(arc1, [Pass(c, k1), Pass(d, k1)]),
+                 (arc2, second if variant[0] == "p" else second[::-1])]
+        signs[c] = 1 if variant[2] == "+" else -1
+        signs[d] = -signs[c]
+    else:
+        _, arc1, arc2, *opt = move
+        if opt not in ([], ["par"], ["anti"]):
+            raise MoveError(f"bad v2_insert parameters {move!r}")
+        second = [Pass(c, VIRTUAL, False), Pass(d, VIRTUAL, True)]
+        sites = [(arc1, [Pass(c, VIRTUAL, True), Pass(d, VIRTUAL, False)]),
+                 (arc2, second[::-1] if opt == ["anti"] else second)]
+    n = code.arc_count
+    placed: Dict[int, List[Pass]] = {}  # insertion position -> passes
     for arc, block in sites:
-        pos = _check_arc(code, arc)
-        placed.setdefault(pos, []).extend(block)
+        if not 1 <= arc <= n:
+            raise MoveError(f"arc {arc} out of range 1..{n}")
+        placed.setdefault(arc % n, []).extend(block)
     passes = list(code.passes)
     for pos in sorted(placed, reverse=True):
         passes[pos:pos] = placed[pos]
-    signs = dict(code.signs)
-    signs.update(new_signs)
-    return DiagramCode(tuple(passes), signs)
+    return DiagramCode(tuple(passes), {**code.signs, **signs})
 
 
 _REMOVALS = ("r1_remove", "v1_remove", "r2_remove", "v2_remove")
@@ -481,56 +493,29 @@ def _removal_check(code: DiagramCode) -> Callable[[Tuple], List[int]]:
 
 
 def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
-    kind = move[0]
+    """Apply one elementary move, given as a plain tuple:
 
+        ("r1_insert", arc, side, sign)      side "o": over pass first, "u": under first
+        ("r1_remove", cid)
+        ("r2_insert", arc1, arc2, variant)  variant in {p,a}x{o,u}x{+,-}, e.g. "po+"
+        ("r2_remove", cid1, cid2)
+        ("v1_insert", arc)  /  ("v1_insert", arc, "y")
+        ("v1_remove", cid)
+        ("v2_insert", arc1, arc2)  /  ("v2_insert", arc1, arc2, "par" or "anti")
+        ("v2_remove", cid1, cid2)
+
+    Arc indices follow the semi-arc labeling of ``code``.  V1 without "y"
+    puts the frame bit on the first new pass; V2 "par" is the default.
+    Raises MoveError for an unknown kind, a bad option, an arc out of range
+    or a removal whose pattern is absent.
+    """
+    kind = move[0]
     if kind in _REMOVALS:
         drop = set(_removal_check(code)(move))
         return DiagramCode(tuple(p for i, p in enumerate(code.passes) if i not in drop),
                            {c: s for c, s in code.signs.items() if c not in move[1:]})
-
-    if kind == "r1_insert":
-        _, arc, side, sign = move
-        if side not in ("o", "u") or sign not in (1, -1):
-            raise MoveError(f"bad r1_insert parameters {move!r}")
-        (cid,) = _fresh_ids(code, 1)
-        block = [Pass(cid, OVER), Pass(cid, UNDER)]
-        if side == "u":
-            block.reverse()
-        return _insert(code, [(arc, block)], {cid: sign})
-
-    if kind == "v1_insert":
-        arc = move[1]
-        first_frame = len(move) < 3 or move[2] != "y"
-        (cid,) = _fresh_ids(code, 1)
-        block = [Pass(cid, VIRTUAL, first_frame), Pass(cid, VIRTUAL, not first_frame)]
-        return _insert(code, [(arc, block)], {})
-
-    if kind == "r2_insert":
-        _, arc1, arc2, variant = move
-        if variant not in R2_VARIANTS:
-            raise MoveError(f"bad r2_insert variant {variant!r}")
-        parallel = variant[0] == "p"
-        first_over = variant[1] == "o"
-        lead = 1 if variant[2] == "+" else -1
-        c, d = _fresh_ids(code, 2)
-        k1 = OVER if first_over else UNDER
-        k2 = UNDER if first_over else OVER
-        site1 = [Pass(c, k1), Pass(d, k1)]
-        site2 = [Pass(c, k2), Pass(d, k2)]
-        if not parallel:
-            site2.reverse()
-        return _insert(code, [(arc1, site1), (arc2, site2)], {c: lead, d: -lead})
-
-    if kind == "v2_insert":
-        arc1, arc2 = move[1], move[2]
-        parallel = len(move) < 4 or move[3] != "anti"
-        c, d = _fresh_ids(code, 2)
-        site1 = [Pass(c, VIRTUAL, True), Pass(d, VIRTUAL, False)]
-        site2 = [Pass(c, VIRTUAL, False), Pass(d, VIRTUAL, True)]
-        if not parallel:
-            site2.reverse()
-        return _insert(code, [(arc1, site1), (arc2, site2)], {})
-
+    if kind in _INSERTS:
+        return _insert(code, move)
     raise MoveError(f"unknown move kind {kind!r}")
 
 

@@ -8,9 +8,10 @@ random input, and reports per-check pass/fail lines.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import foxcalc as fx
 from .alexander import (
@@ -18,7 +19,7 @@ from .alexander import (
     determinant, gcd_of_minors, parity_alexander,
 )
 from .diagram import (
-    ODD, R2_VARIANTS, VIRTUAL, DiagramCode, Pass, apply_move, crossings,
+    ODD, R2_VARIANTS, DiagramCode, apply_move, crossings, parse_diagram,
     random_code, relabel, removal_sites, shift_basepoint, switch_crossing,
 )
 Check = Tuple[str, bool, str]  # label, passed, detail
@@ -186,36 +187,17 @@ def suite_foxid(diagrams: Sequence[Tuple[str, DiagramCode]] = (),
 
 
 def enumerate_small_codes() -> List[DiagramCode]:
-    """Every valid code with one or two crossings (any classes)."""
-    def flavors(cid: int) -> List[Tuple[Pass, Pass, Optional[int]]]:
-        out = []
-        for over_first in (True, False):
-            for sign in (1, -1):
-                a = Pass(cid, "O" if over_first else "U")
-                b = Pass(cid, "U" if over_first else "O")
-                out.append((a, b, sign))
-        out.append((Pass(cid, VIRTUAL, True), Pass(cid, VIRTUAL, False), None))
-        out.append((Pass(cid, VIRTUAL, False), Pass(cid, VIRTUAL, True), None))
-        return out
-
+    """Every valid code with one or two crossings (any classes): the six
+    flavours of one crossing, then, per pairing of four slots, every
+    flavour of crossing 1 with every flavour of crossing 2."""
+    flavours = [("O+", "U+"), ("O-", "U-"), ("U+", "O+"), ("U-", "O-"), ("Vx", "Vy"), ("Vy", "Vx")]
     codes: List[DiagramCode] = []
-    for f1 in flavors(1):
-        a, b, s1 = f1
-        signs = {1: s1} if s1 else {}
-        codes.append(DiagramCode((a, b), dict(signs)))
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    for (p1, p2) in pairings:
-        for f1 in flavors(1):
-            for f2 in flavors(2):
-                passes: List[Optional[Pass]] = [None] * 4
-                passes[p1[0]], passes[p1[1]] = f1[0], f1[1]
-                passes[p2[0]], passes[p2[1]] = f2[0], f2[1]
-                signs = {}
-                if f1[2]:
-                    signs[1] = f1[2]
-                if f2[2]:
-                    signs[2] = f2[2]
-                codes.append(DiagramCode(tuple(passes), signs))  # type: ignore[arg-type]
+    for slots in ([(0, 1)], [(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]):
+        for flavs in itertools.product(flavours, repeat=len(slots)):
+            tokens = [""] * (2 * len(slots))
+            for cid, ((i, j), (a, b)) in enumerate(zip(slots, flavs), start=1):
+                tokens[i], tokens[j] = f"{a[0]}{cid}{a[1]}", f"{b[0]}{cid}{b[1]}"
+            codes.append(parse_diagram(" ".join(tokens)))
     return codes
 
 

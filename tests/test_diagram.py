@@ -1,6 +1,7 @@
 """Diagram codes: parsing, validation, parity, arcs, symmetry operators."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,19 @@ def test_semi_arc_count_random():
     for _ in range(20):
         code = random_code(rng)
         assert code.arc_count == 2 * len(code.crossing_ids())
+
+
+def test_enumerate_small_codes():
+    # six flavours of one crossing, then 3 pairings x 6 x 6 flavours of two;
+    # verify prop1 labels its cases enum[i] in this order
+    codes = enumerate_small_codes()
+    assert len({code.to_text() for code in codes}) == len(codes) == 6 + 3 * 36
+    assert [len(code.crossing_ids()) for code in codes] == [1] * 6 + [2] * 108
+    assert [codes[i].to_text() for i in (0, 5, 6, 7, 42, 78, 113)] == [
+        "O1+ U1+", "V1y V1x", "O1+ U1+ O2+ U2+", "O1+ U1+ O2- U2-",
+        "O1+ O2+ U1+ U2+", "O1+ O2+ U2+ U1+", "V1y V2y V2x V1x"]
+    classes = Counter(c.cls for code in codes for c in crossings(code))
+    assert classes == {"virtual": 74, "even+": 58, "even-": 58, "odd": 32}
 
 
 def test_crossings_cover_each_arc_once_and_count_classes():

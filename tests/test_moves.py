@@ -10,7 +10,7 @@ from braidgen import braid_closure, random_letter, triangle_words
 from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     EVEN, MoveError, ODD, apply_move, parity, parse_diagram, parse_vkd,
-    random_code, removal_sites, same_up_to_shift_relabel,
+    random_code, removal_sites,
 )
 from paritypoly.verify import random_move
 
@@ -52,7 +52,7 @@ def test_insert_remove_inverses_random():
         ]:
             stepped = apply_move(code, mv)
             back = apply_move(stepped, inverse)
-            assert same_up_to_shift_relabel(back, code), (mv, code.to_text())
+            assert back == code, (mv, code.to_text())
 
 
 def test_same_arc_r2_insert():
@@ -61,7 +61,44 @@ def test_same_arc_r2_insert():
         stepped = apply_move(base, ("r2_insert", 1, 1, variant))
         assert len(stepped.passes) == 6
         back = apply_move(stepped, ("r2_remove", 2, 3))
-        assert same_up_to_shift_relabel(back, base)
+        assert back == base
+
+
+INSERTS_ON_ONE_CODE = [  # on "O1+ V2x U1+ V2y": arc 4 wraps to the front
+    (("r1_insert", 4, "o", 1), "O3+ U3+ O1+ V2x U1+ V2y"),
+    (("r1_insert", 4, "o", -1), "O3- U3- O1+ V2x U1+ V2y"),
+    (("r1_insert", 4, "u", 1), "U3+ O3+ O1+ V2x U1+ V2y"),
+    (("r1_insert", 4, "u", -1), "U3- O3- O1+ V2x U1+ V2y"),
+    (("v1_insert", 2), "O1+ V2x V3x V3y U1+ V2y"),
+    (("v1_insert", 2, "y"), "O1+ V2x V3y V3x U1+ V2y"),
+    (("r2_insert", 4, 2, "po+"), "O3+ O4- O1+ V2x U3+ U4- U1+ V2y"),
+    (("r2_insert", 4, 2, "po-"), "O3- O4+ O1+ V2x U3- U4+ U1+ V2y"),
+    (("r2_insert", 4, 2, "pu+"), "U3+ U4- O1+ V2x O3+ O4- U1+ V2y"),
+    (("r2_insert", 4, 2, "pu-"), "U3- U4+ O1+ V2x O3- O4+ U1+ V2y"),
+    (("r2_insert", 4, 2, "ao+"), "O3+ O4- O1+ V2x U4- U3+ U1+ V2y"),
+    (("r2_insert", 4, 2, "ao-"), "O3- O4+ O1+ V2x U4+ U3- U1+ V2y"),
+    (("r2_insert", 4, 2, "au+"), "U3+ U4- O1+ V2x O4- O3+ U1+ V2y"),
+    (("r2_insert", 4, 2, "au-"), "U3- U4+ O1+ V2x O4+ O3- U1+ V2y"),
+    (("r2_insert", 3, 3, "po+"), "O1+ V2x U1+ O3+ O4- U3+ U4- V2y"),
+    (("r2_insert", 3, 3, "po-"), "O1+ V2x U1+ O3- O4+ U3- U4+ V2y"),
+    (("r2_insert", 3, 3, "pu+"), "O1+ V2x U1+ U3+ U4- O3+ O4- V2y"),
+    (("r2_insert", 3, 3, "pu-"), "O1+ V2x U1+ U3- U4+ O3- O4+ V2y"),
+    (("r2_insert", 3, 3, "ao+"), "O1+ V2x U1+ O3+ O4- U4- U3+ V2y"),
+    (("r2_insert", 3, 3, "ao-"), "O1+ V2x U1+ O3- O4+ U4+ U3- V2y"),
+    (("r2_insert", 3, 3, "au+"), "O1+ V2x U1+ U3+ U4- O4- O3+ V2y"),
+    (("r2_insert", 3, 3, "au-"), "O1+ V2x U1+ U3- U4+ O4+ O3- V2y"),
+    (("v2_insert", 4, 2), "V3x V4y O1+ V2x V3y V4x U1+ V2y"),
+    (("v2_insert", 4, 2, "par"), "V3x V4y O1+ V2x V3y V4x U1+ V2y"),
+    (("v2_insert", 4, 2, "anti"), "V3x V4y O1+ V2x V4x V3y U1+ V2y"),
+    (("v2_insert", 3, 3), "O1+ V2x U1+ V3x V4y V3y V4x V2y"),
+    (("v2_insert", 3, 3, "anti"), "O1+ V2x U1+ V3x V4y V4x V3y V2y"),
+]
+
+
+@pytest.mark.parametrize("move, text", INSERTS_ON_ONE_CODE)
+def test_insert_table(move, text):
+    # fresh ids are the largest id + 1 and + 2; blocks on one arc go in move order
+    assert apply_move(parse_diagram("O1+ V2x U1+ V2y"), move).to_text() == text
 
 
 def test_move_preconditions():
@@ -87,10 +124,23 @@ def test_move_preconditions():
     refused(parse_diagram("V1x V1y V2x V3x V2y V3y"), ("v2_remove", 1, 2),
             "crossings 1,2: passes do not form two adjacent pairs")
     refused(virtual, ("v2_remove", 1, 2), "crossings 1,2: frame bits are not complementary")
-    with pytest.raises(MoveError):
-        apply_move(code, ("r1_insert", 99, "o", 1))
-    with pytest.raises(MoveError):
-        apply_move(code, ("r2_insert", 1, 2, "zz"))
+    refused(code, ("r1_insert", 99, "o", 1), "arc 99 out of range 1..4")
+    refused(code, ("r1_insert", 0, "u", -1), "arc 0 out of range 1..4")
+    refused(code, ("r1_insert", 1, "x", 1), "bad r1_insert parameters ('r1_insert', 1, 'x', 1)")
+    refused(code, ("r1_insert", 1, "o", 0), "bad r1_insert parameters ('r1_insert', 1, 'o', 0)")
+    refused(code, ("r2_insert", 5, 2, "po+"), "arc 5 out of range 1..4")
+    refused(code, ("r2_insert", 1, 5, "po+"), "arc 5 out of range 1..4")
+    refused(code, ("r2_insert", 1, 2, "zz"), "bad r2_insert variant 'zz'")
+    refused(code, ("v1_insert", 5), "arc 5 out of range 1..4")
+    refused(code, ("v2_insert", 1, 0, "anti"), "arc 0 out of range 1..4")
+    refused(code, ("v1_insert", 1, "z"), "bad v1_insert parameters ('v1_insert', 1, 'z')")
+    refused(code, ("v1_insert", 1, "y", "y"),
+            "bad v1_insert parameters ('v1_insert', 1, 'y', 'y')")
+    refused(code, ("v2_insert", 1, 2, "foo"),
+            "bad v2_insert parameters ('v2_insert', 1, 2, 'foo')")
+    refused(code, ("v2_insert", 1, 2, "anti", "par"),
+            "bad v2_insert parameters ('v2_insert', 1, 2, 'anti', 'par')")
+    refused(code, ("r3_insert", 1), "unknown move kind 'r3_insert'")
     kink = parse_diagram("O1+ U1+")
     assert apply_move(kink, ("r1_remove", 1)).passes == ()
 
