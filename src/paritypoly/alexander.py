@@ -111,13 +111,6 @@ from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, Lau
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
 
-@dataclass(frozen=True)
-class Relator:
-    word: Word
-    cid: int
-    rel_kind: str  # "z" or "w"
-
-
 @dataclass
 class AlexanderMatrix:
     rows: List[Dict[ColKey, LaurentPoly]]
@@ -147,21 +140,15 @@ _RELATOR_LETTERS: Dict[str, Tuple[Word, ...]] = {
 }
 
 
-def relator_pair(c: Crossing) -> Tuple[Word, Word]:
-    """(z-relator, w-relator) for one crossing, as words RHS * target^-1."""
-    role_arcs = {_X: arc(c.x_in), _Y: arc(c.y_in)}
-    return tuple(  # type: ignore[return-value]
-        fx.reduce_word([(role_arcs.get(g, g), e) for g, e in rhs] + [(arc(target), -1)])
-        for rhs, target in zip(_RELATOR_LETTERS[c.cls], (c.z_out, c.w_out)))
-
-
-def crossing_relators(code: DiagramCode) -> List[Relator]:
-    """Two relators per crossing, crossings ordered by id, z before w."""
-    out: List[Relator] = []
+def crossing_relators(code: DiagramCode) -> List[Tuple[Tuple[int, str], Word]]:
+    """Two relators per crossing, labelled (cid, "z") and (cid, "w"), as
+    words RHS * target^-1; crossings ordered by id, z before w."""
+    out: List[Tuple[Tuple[int, str], Word]] = []
     for c in crossings(code):
-        r_z, r_w = relator_pair(c)
-        out.append(Relator(r_z, c.cid, "z"))
-        out.append(Relator(r_w, c.cid, "w"))
+        role_arcs = {_X: arc(c.x_in), _Y: arc(c.y_in)}
+        for rel_kind, rhs, target in zip("zw", _RELATOR_LETTERS[c.cls], (c.z_out, c.w_out)):
+            word = [(role_arcs.get(g, g), e) for g, e in rhs] + [(arc(target), -1)]
+            out.append(((c.cid, rel_kind), fx.reduce_word(word)))
     return out
 
 
@@ -192,8 +179,7 @@ def _fox_matrix(code: DiagramCode, extra_cols: Tuple[ColKey, ...],
     per arc plus ``extra_cols``."""
     cols: List[ColKey] = list(range(1, len(code.passes) + 1)) + list(extra_cols)
     col_set = set(cols)
-    labeled = [((rel.cid, rel.rel_kind), rel.word) for rel in crossing_relators(code)]
-    labeled += [(("comm", name), word) for name, word in extra_rows]
+    labeled = crossing_relators(code) + [(("comm", name), word) for name, word in extra_rows]
     return AlexanderMatrix([_word_row(word, col_set) for _label, word in labeled],
                            [label for label, _word in labeled], cols)
 
@@ -514,10 +500,6 @@ class InvariantResult:
     n_odd: int
     n_virtual: int
 
-    @property
-    def widths(self) -> Dict[str, Optional[int]]:
-        return {"q": self.q_width, "h": self.h_width}
-
 
 def _det_A(code: DiagramCode, table: List[Crossing]) -> LaurentPoly:
     """det A of a crossing table of code, exactly: eps * det(K), K the
@@ -714,9 +696,6 @@ class SymmetryReport:
     base: LaurentPoly
     outcomes: Dict[str, bool]
 
-    def all_hold(self) -> bool:
-        return all(self.outcomes.values())
-
 
 def check_symmetries(code: DiagramCode) -> SymmetryReport:
     """Verify each operation's law, a map on the exponents (s, t, q, h) of
@@ -765,8 +744,8 @@ def group_presentation(code: DiagramCode) -> str:
     n2 = len(code.passes)
     gens = [f"a{i}" for i in range(1, n2 + 1)] + ["s", "q", "h"]
     lines = ["generators: " + " ".join(gens), "relators:"]
-    for rel in crossing_relators(code):
-        lines.append(f"  r[{rel.cid}.{rel.rel_kind}]: {fx.word_to_string(rel.word)}")
+    for (cid, rel_kind), word in crossing_relators(code):
+        lines.append(f"  r[{cid}.{rel_kind}]: {fx.word_to_string(word)}")
     for name, word in COMMUTATORS:
         lines.append(f"  {name}: {fx.word_to_string(word)}")
     return "\n".join(lines)

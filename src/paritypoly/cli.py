@@ -143,7 +143,7 @@ def cmd_batch(args) -> int:
             except (DiagramError, GaussError) as exc:
                 rec = {"name": name, "line": lineno, "error": str(exc)}
                 failed = True
-            except (InexactDivision, RealizationError) as exc:
+            except RealizationError as exc:
                 rec = {"name": name, "line": lineno, "error": str(exc)}
                 internal = True
             print(json.dumps(rec, sort_keys=True), file=out)

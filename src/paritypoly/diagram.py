@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Container, Dict, List, NamedTuple, Optional, Tuple
 
 OVER = "O"
 UNDER = "U"
@@ -213,15 +213,6 @@ def parse_vkd(text: str) -> List[Tuple[Optional[str], DiagramCode]]:
     return out
 
 
-def format_vkd(entries: Iterable[Tuple[Optional[str], DiagramCode]]) -> str:
-    lines: List[str] = []
-    for name, code in entries:
-        if name is not None:
-            lines.append(f"name: {name}")
-        lines.append(f"code: {code.to_text()}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 # -- the crossing table -------------------------------------------------------
 
 
@@ -363,28 +354,13 @@ def classical_gauss_code(code: DiagramCode) -> Tuple[Tuple[int, str, int], ...]:
     )
 
 
-# -- code equivalence up to basepoint and labels --------------------------------
-
-
-def _first_appearance_form(passes: Tuple[Pass, ...], signs: Dict[int, int]) -> Tuple:
-    """The code with its ids renamed 1, 2, ... in order of first appearance."""
-    new = {c: i for i, c in enumerate(dict.fromkeys(p.cid for p in passes), start=1)}
-    return (tuple(Pass(new[p.cid], p.kind, p.frame) for p in passes),
-            {new[c]: s for c, s in signs.items()})
-
-
-def same_up_to_shift_relabel(a: DiagramCode, b: DiagramCode) -> bool:
-    """True iff the codes agree after some basepoint shift and id renaming."""
-    form = _first_appearance_form(a.passes, a.signs)
-    return len(a) == len(b) and any(
-        _first_appearance_form(b.passes[k:] + b.passes[:k], b.signs) == form
-        for k in range(max(len(b), 1)))
-
-
 # -- elementary moves ------------------------------------------------------------
 
 R2_VARIANTS = tuple(p + o + s for p in "pa" for o in "ou" for s in "+-")
-_INSERTS = ("r1_insert", "v1_insert", "r2_insert", "v2_insert")
+_REMOVALS = ("r1_remove", "v1_remove", "r2_remove", "v2_remove")
+# move kind -> the lengths its tuple may have
+_LENGTHS = {"r1_insert": (4,), "v1_insert": (2, 3), "r2_insert": (4,), "v2_insert": (3, 4),
+            "r1_remove": (2,), "v1_remove": (2,), "r2_remove": (3,), "v2_remove": (3,)}
 
 
 def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
@@ -436,9 +412,6 @@ def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
     for pos in sorted(placed, reverse=True):
         passes[pos:pos] = placed[pos]
     return DiagramCode(tuple(passes), {**code.signs, **signs})
-
-
-_REMOVALS = ("r1_remove", "v1_remove", "r2_remove", "v2_remove")
 
 
 def _removal_check(code: DiagramCode) -> Callable[[Tuple], List[int]]:
@@ -506,17 +479,22 @@ def apply_move(code: DiagramCode, move: Tuple) -> DiagramCode:
 
     Arc indices follow the semi-arc labeling of ``code``.  V1 without "y"
     puts the frame bit on the first new pass; V2 "par" is the default.
-    Raises MoveError for an unknown kind, a bad option, an arc out of range
-    or a removal whose pattern is absent.
+    Raises MoveError for an empty tuple, an unknown kind, a tuple of the
+    wrong length, a bad option, an arc out of range or a removal whose
+    pattern is absent.
     """
+    if not move:
+        raise MoveError("bad move ()")
     kind = move[0]
+    if not isinstance(kind, str) or kind not in _LENGTHS:  # a list is not hashable
+        raise MoveError(f"unknown move kind {kind!r}")
+    if len(move) not in _LENGTHS[kind]:
+        raise MoveError(f"bad {kind} parameters {move!r}")
     if kind in _REMOVALS:
         drop = set(_removal_check(code)(move))
         return DiagramCode(tuple(p for i, p in enumerate(code.passes) if i not in drop),
                            {c: s for c, s in code.signs.items() if c not in move[1:]})
-    if kind in _INSERTS:
-        return _insert(code, move)
-    raise MoveError(f"unknown move kind {kind!r}")
+    return _insert(code, move)
 
 
 def removal_sites(code: DiagramCode) -> List[Tuple]:

@@ -12,7 +12,7 @@ shortcut anywhere in this module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 Exps = Tuple[int, int, int, int]
 
@@ -271,18 +271,6 @@ class LaurentPoly:
             {"c": self.terms[e], "s": e[0], "t": e[1], "q": e[2], "h": e[3]}
             for e in sorted(self.terms)
         ]
-
-    @staticmethod
-    def from_json_terms(items: Iterable[Dict[str, int]]) -> "LaurentPoly":
-        out: Dict[Exps, int] = {}
-        for it in items:
-            e = (it["s"], it["t"], it["q"], it["h"])
-            c = out.get(e, 0) + it["c"]
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
 
 
 # Handy monomial constants.

@@ -76,10 +76,6 @@ def validate_gauss(g: SignedGaussCode) -> None:
             raise GaussError(f"crossing {cid}: sign mismatch between passes")
 
 
-def gauss_to_text(g: SignedGaussCode) -> str:
-    return "".join(f"{kind}{cid}{'+' if sign > 0 else '-'}" for cid, kind, sign in g)
-
-
 def gauss_lines(text: str) -> Iterator[Tuple[int, Optional[str], str]]:
     """(line number, name or None, code text) for each code line of a
     ``.gauss`` table: ``name<TAB>code`` or bare code; blank lines and

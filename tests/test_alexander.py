@@ -157,8 +157,8 @@ def test_empty_code_equals_its_r1_and_v1_neighbours():
         (move,) = removal_sites(code)
         assert not apply_move(code, move).passes, text
         res = parity_alexander(code)
-        assert (empty.canonical, empty.unit, empty.widths) == (
-            res.canonical, res.unit, res.widths), text
+        assert (empty.canonical, empty.unit, empty.q_width, empty.h_width) == (
+            res.canonical, res.unit, res.q_width, res.h_width), text
 
 
 def test_parity_alexander_builds_one_row_per_even_crossing(monkeypatch):
@@ -239,8 +239,8 @@ def test_relator_count_and_arc_degree():
         code = random_code(rng, max_crossings=5)
         rels = crossing_relators(code)
         assert len(rels) == 2 * len(code.crossing_ids())
-        for rel in rels:
-            img = fx.abelianize_word(rel.word)
+        for _label, word in rels:
+            img = fx.abelianize_word(word)
             ((exps, coeff),) = img.terms.items()
             assert exps[1] == 0 and coeff == 1  # arc-degree homogeneous
 
@@ -514,7 +514,7 @@ def test_invariant_result_counts():
     code = parse_diagram("O1+ O2+ U1+ O3+ U2+ U3+")
     res = parity_alexander(code)
     assert (res.n_even, res.n_odd, res.n_virtual) == (1, 2, 0)
-    assert res.widths == {"q": res.q_width, "h": res.h_width}
+    assert (res.q_width, res.h_width) == (None, None)  # the invariant is 0
 
 
 def test_crossing_bounds():
@@ -874,7 +874,7 @@ def test_check_symmetries_samples():
     for text in ("O1+ U2+ U1+ O2+", "O1+ O2+ U1+ U2+", "V1x O2- V1y U2-",
                  "O1+ V2x U1+ V2y"):
         rep = check_symmetries(parse_diagram(text))
-        assert rep.all_hold(), (text, rep.outcomes)
+        assert all(rep.outcomes.values()), (text, rep.outcomes)
 
 
 def test_symmetry_laws_on_larger_codes():
@@ -889,7 +889,7 @@ def test_symmetry_laws_on_larger_codes():
               for strategy in (0, 1)]
     for code in codes:
         rep = check_symmetries(code)
-        assert rep.all_hold(), (code.to_text(), rep.outcomes)
+        assert all(rep.outcomes.values()), (code.to_text(), rep.outcomes)
 
 
 def _at_t_inverse_s(p):
@@ -929,3 +929,29 @@ def test_group_presentation():
     assert "h" in odd.split("r[1.z]: ")[1].splitlines()[0]
     virt = group_presentation(parse_diagram("V1x V1y"))
     assert "q" in virt.split("r[1.z]: ")[1].splitlines()[0]
+    # odd 1 and 3, virtual 2, even+ 4, even- 5 (as in test_crossing_classes)
+    code = parse_diagram("O1+ V2x O3- U1+ V2y U3- O4+ U4+ O5- U5-")
+    assert group_presentation(code) == "\n".join([
+        "generators: a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 s q h",
+        "relators:",
+        "  r[1.z]: h^-1 a3 h a4^-1",
+        "  r[1.w]: h a10 h^-1 a1^-1",
+        "  r[2.z]: q^-1 a4 q a5^-1",
+        "  r[2.w]: q a1 q^-1 a2^-1",
+        "  r[3.z]: h^-1 a2 h a3^-1",
+        "  r[3.w]: h a5 h^-1 a6^-1",
+        "  r[4.z]: a6 a7 s a6^-1 s^-1 a8^-1",
+        "  r[4.w]: s a6 s^-1 a7^-1",
+        "  r[5.z]: s^-1 a8 s a9^-1",
+        "  r[5.w]: s^-1 a8^-1 s a9 a8 a10^-1",
+        "  [s,q]: s q s^-1 q^-1",
+        "  [s,h]: s h s^-1 h^-1",
+        "  [h,q]: h q h^-1 q^-1",
+    ])
+    assert [(label, fx.word_to_string(word)) for label, word in crossing_relators(code)] == [
+        ((1, "z"), "h^-1 a3 h a4^-1"), ((1, "w"), "h a10 h^-1 a1^-1"),
+        ((2, "z"), "q^-1 a4 q a5^-1"), ((2, "w"), "q a1 q^-1 a2^-1"),
+        ((3, "z"), "h^-1 a2 h a3^-1"), ((3, "w"), "h a5 h^-1 a6^-1"),
+        ((4, "z"), "a6 a7 s a6^-1 s^-1 a8^-1"), ((4, "w"), "s a6 s^-1 a7^-1"),
+        ((5, "z"), "s^-1 a8 s a9^-1"), ((5, "w"), "s^-1 a8^-1 s a9 a8 a10^-1"),
+    ]

@@ -33,7 +33,8 @@ def test_compute_json_round_trip(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 4
     for rec in lines:
-        poly = LaurentPoly.from_json_terms(rec["polynomial"]["terms"])
+        poly = LaurentPoly({(t["s"], t["t"], t["q"], t["h"]): t["c"]
+                            for t in rec["polynomial"]["terms"]})
         assert poly.to_text() == rec["polynomial"]["text"]
 
 
@@ -202,6 +203,19 @@ def test_main_names_realization_errors(capsys, tmp_path, monkeypatch):
     rc, out, err = run(capsys, "compute", table)
     assert rc == 2 and out == ""
     assert err == "internal realization error: no routing for this code\n"
+
+
+def test_main_names_arithmetic_errors(capsys, monkeypatch):
+    from paritypoly import verify
+    from paritypoly.laurent import InexactDivision
+
+    def gcd_of_minors(matrix):
+        raise InexactDivision("remainder 1 - q")
+
+    monkeypatch.setattr(verify, "gcd_of_minors", gcd_of_minors)
+    rc, out, err = run(capsys, "verify", "prop1")
+    assert rc == 2 and out == ""
+    assert err == "internal arithmetic error: remainder 1 - q\n"
 
 
 def test_unnamed_gauss_code_is_named_by_line_number(capsys, tmp_path):

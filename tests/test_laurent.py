@@ -159,7 +159,8 @@ def test_json_round_trip():
     rng = random.Random(7)
     for _ in range(30):
         a = rand_poly(rng)
-        back = LaurentPoly.from_json_terms(a.to_json_terms())
+        back = LaurentPoly({(t["s"], t["t"], t["q"], t["h"]): t["c"]
+                            for t in a.to_json_terms()})
         assert back == a
         assert back.to_text() == a.to_text()
 

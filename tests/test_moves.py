@@ -141,6 +141,18 @@ def test_move_preconditions():
     refused(code, ("v2_insert", 1, 2, "anti", "par"),
             "bad v2_insert parameters ('v2_insert', 1, 2, 'anti', 'par')")
     refused(code, ("r3_insert", 1), "unknown move kind 'r3_insert'")
+    refused(code, (["r1_remove"], 1), "unknown move kind ['r1_remove']")
+    # one too short and one too long tuple per kind
+    for move in [("r1_insert", 1, "o"), ("r1_insert", 1, "o", 1, 2),
+                 ("r1_remove",), ("r1_remove", 1, 2),
+                 ("v1_insert",), ("v1_insert", 1, "y", 2),
+                 ("v1_remove",), ("v1_remove", 1, 2),
+                 ("r2_insert", 1, 2), ("r2_insert", 1, 2, "po+", 3),
+                 ("r2_remove", 1), ("r2_remove", 1, 2, 3),
+                 ("v2_insert", 1), ("v2_insert", 1, 2, "par", 3),
+                 ("v2_remove", 1), ("v2_remove", 1, 2, 3)]:
+        refused(code, move, f"bad {move[0]} parameters {move!r}")
+    refused(code, (), "bad move ()")
     kink = parse_diagram("O1+ U1+")
     assert apply_move(kink, ("r1_remove", 1)).passes == ()
 

@@ -8,7 +8,7 @@ from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import classical_gauss_code, validate
 from paritypoly.realize import (
     GaussError, RealizationError, _intersections, _route_vertices, _segments,
-    frame_sign, gauss_to_text, parse_gauss, parse_gauss_file, realize,
+    frame_sign, parse_gauss, parse_gauss_file, realize,
 )
 
 
@@ -111,7 +111,7 @@ def test_routing_strategy_independence():
             continue
         pa = parity_alexander(a).canonical
         pb = parity_alexander(b).canonical
-        assert pa == pb, gauss_to_text(g)
+        assert pa == pb, g
 
 
 def test_classical_trefoil_vanishes():
@@ -233,7 +233,7 @@ def test_sweep_equals_all_pairs_scan():
         g = random_gauss(rng, max_crossings=30)
         for strategy in (0, 1):
             segs = routed_segments(g, strategy)
-            assert _intersections(segs) == all_pairs_intersections(segs), gauss_to_text(g)
+            assert _intersections(segs) == all_pairs_intersections(segs), g
 
 
 # Hand-built segment lists.  Far-away verticals pad each list, so that the
