@@ -7,8 +7,10 @@ arc -> t, produce the (2n+3) x (2n+3) matrix M whose upper-left 2n x 2n
 block A has determinant det(A) = the invariant (up to a signed monomial
 unit, fixed by canonicalization).
 
-Each crossing is "virtual", "odd", "even+" or "even-"; ``diagram.crossings``
-gives every crossing's class and role arcs (x, y incoming; z, w outgoing).
+Each crossing is "virtual", "odd", "even+" or "even-"; ``diagram.roles``
+gives every crossing's class and the positions of its two passes, and
+``diagram.crossings`` reads its role arcs off them (x, y incoming; z, w
+outgoing).
 Per class, ``RELATOR_WORDS`` gives the crossing's two relators (z is the
 outgoing arc of the y strand, w of the x strand; each is stored as
 RHS * target^-1) and ``ROW_TEMPLATES`` their abelianized Fox derivatives,
@@ -16,14 +18,14 @@ the crossing's two rows of A: -1 on the target arc plus monomial-weighted
 incoming arcs, entries on coinciding arcs adding.  The "smooth" rows of
 ``ROW_TEMPLATES`` (z = x, w = y) belong to no class of ``crossings``: they
 are the oriented smoothing of an even crossing, which only the skein
-tables hold.
+role maps hold.
 
 ``build_matrix_A`` reads the rows of a crossing table straight off the
 templates.  The oracle path builds words (``crossing_relators``) and
 differentiates them (``fox_matrix_A``, ``build_full_matrix_M``); the
 bordered matrix M, the presentation view and the tests use it, and the
-tests check that both give the same A.  One path goes from a table to
-det A, ``_det_A``, for ``parity_alexander`` and for the skein triple
+tests check that both give the same A.  One path goes from a role map
+to det A, ``_det_A``, for ``parity_alexander`` and for the skein triple
 alike.
 
 ``_det_A`` contracts every one-step row first, so that its matrix K has
@@ -31,12 +33,15 @@ one row per even crossing, and two for a smoothed one.  Both rows of a
 virtual or odd crossing, the w row of an even+ and the z row of an even-
 crossing say that the outgoing arc is one monomial times the incoming arc
 of its strand (z = q^-1 y, w = q x; z = h^-1 y, w = h x; w = s x;
-z = s^-1 y), so ``fold_steps`` writes every arc as a monomial times its
-head, the last target of another row at or before it, and
-``build_matrix_A`` of the folded table puts those monomials on the x and
-y entries of the kept rows.  Order the rows and columns of A by row
-target (each arc is the target of one row), so that -1 runs down the
-diagonal.  The m one-step rows on their target columns are then -I + N,
+z = s^-1 y).  The row of the pass at position p goes from arc p to arc
+p + 1, so ``fold_roles`` lists each one-step row's exponents by pass
+position and sums them once: every arc is a monomial times its head, the
+last target of another row at or before it, and the monomial is the
+steps' sum between the two.  It builds a ``Crossing`` for each kept
+(even) crossing only, and ``build_matrix_A`` of that folded table puts
+the monomials on the x and y entries of the kept rows.  Order the rows
+and columns of A by row target (each arc is the target of one row), so
+that -1 runs down the diagonal.  The m one-step rows on their target columns are then -I + N,
 N nilpotent as each chain of step arcs starts after a head, of
 determinant (-1)^m, and eliminating them substitutes its weighted head
 for each step arc: K is their Schur complement.  With k kept rows
@@ -94,14 +99,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import foxcalc as fx
 from .diagram import (
     ODD,
-    Crossing, DiagramCode, DiagramError, crossings,
+    Crossing, DiagramCode, DiagramError, Role, crossings, roles,
     switch, flip, reverse, switched_flip,
     switch_crossing,  # re-exported: the odd-switch checks import it from here
 )
@@ -216,10 +222,10 @@ def build_matrix_A(code: DiagramCode,
     """Square matrix read off ROW_TEMPLATES[c.cls], a row per nonzero
     target in the table: rows by ascending crossing id, z before w, and one
     column per row target, ascending; entries on coinciding arcs add and
-    zero entries are dropped.  ``table`` is ``crossings(code)`` when the
-    caller has it, possibly with a crossing's class replaced (the skein
-    tables), or a table folded by ``fold_steps``, whose x and y entries are
-    shifted by x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n
+    zero entries are dropped.  ``table`` is ``crossings(code)``, possibly of
+    a role map with a crossing's class replaced (the skein role maps), or a
+    table folded by ``fold_roles``, whose x and y entries are shifted by
+    x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n
     matrix A over the arcs 1..n, which fox_matrix_A builds from Fox
     derivatives."""
     if table is None:
@@ -252,53 +258,88 @@ def _one_step(row: Tuple[Tuple[str, LaurentPoly], ...], strand: str) -> Optional
     return next(iter(terms)) if list(terms.values()) == [1] else None
 
 
-# crossing class -> (z step, w step), None for a row that is not one step
-_STEPS = {cls: (_one_step(z, "y"), _one_step(w, "x")) for cls, (z, w) in ROW_TEMPLATES.items()}
+# Exponents (a, b, c, d) packed into one int, one 32-bit digit each, so that
+# a sum of exponents is one int sum; biasing each digit by half the base
+# makes every digit of a sum of sizes below 2^31 read back without carries.
+_BASE = 1 << 32
+_HALF = _BASE // 2
+_MASK = _BASE - 1
 
 
-def fold_steps(table: List[Crossing]) -> Tuple[List[Crossing], int]:
-    """(folded, sign) with det A = sign * det build_matrix_A(code, folded):
-    the even crossings of ``table``, each with its one row that is not one
-    step, on segment heads (see the module docstring).
+def _pack(e: Exps) -> int:
+    return ((e[0] * _BASE + e[1]) * _BASE + e[2]) * _BASE + e[3]
 
-    Walking the arcs once composes the steps, so that every arc is a
-    monomial times its head, the last target of a kept row at or before it.
-    A kept crossing gets its incoming arcs as heads, their monomials'
-    exponents in x_exp and y_exp, and 0 for its one-step row's target.
-    sign is sgn(sigma_A) * sgn(sigma_K) * (-1)^k for k kept rows, and 0
-    when no row is kept, as the weights then close up at 1; the empty table
-    too gives ([], 0).
+
+_BIAS = _pack((_HALF, _HALF, _HALF, _HALF))
+
+
+def _unpack(v: int) -> Exps:
+    v += _BIAS
+    return ((v >> 96) - _HALF, (v >> 64 & _MASK) - _HALF, (v >> 32 & _MASK) - _HALF,
+            (v & _MASK) - _HALF)
+
+
+# crossing class -> (z step, w step), packed, None for a row that is not one step
+_STEPS = {cls: tuple(None if e is None else _pack(e)
+                     for e in (_one_step(z, "y"), _one_step(w, "x")))
+          for cls, (z, w) in ROW_TEMPLATES.items()}
+
+
+def fold_roles(role_map: Dict[int, Role], n: int) -> Tuple[List[Crossing], int]:
+    """(folded, sign) with det A = sign * det build_matrix_A(code, folded),
+    for a code of n passes and ``role_map`` its ``roles``, possibly with a
+    crossing's class replaced: the even crossings, each with its one row
+    that is not one step, on segment heads (see the module docstring).
+
+    The pass at position p holds the row from arc p to arc p + 1 (arc n
+    at p = 0), so a list by position holds every one-step row's exponents,
+    and one prefix sum composes them: the arc that enters position p is a
+    monomial times its head, the target of the last kept row before p,
+    and the monomial's exponents are the sum of the steps between.  A kept
+    crossing gets its incoming arcs as heads, their monomials' exponents
+    in x_exp and y_exp, and 0 for its one-step row's target.  sign is
+    sgn(sigma_A) * sgn(sigma_K) * (-1)^k for k kept rows, and 0 when no row
+    is kept, as the weights then close up at 1; the empty map too gives
+    ([], 0).  Row z of a crossing targets the arc after its other pass, row
+    w the arc after its X pass, so sigma_A takes them to those positions;
+    reordering whole crossings is an even permutation of the rows of A.
     """
-    step: Dict[int, Exps] = {}  # target of a one-step row -> its step's exponents
-    for c in table:
-        z_step, w_step = _STEPS[c.cls]
-        if z_step is not None:
-            step[c.z_out] = z_step
-        if w_step is not None:
-            step[c.w_out] = w_step
-    kept = [c for c in table if c.z_out not in step or c.w_out not in step]
+    step = [0] * n  # position -> packed exponents of its one-step row
+    ends: List[int] = []  # positions of the kept rows
+    kept: List[int] = []
+    for cid, (cls, x, y) in role_map.items():
+        z_step, w_step = _STEPS[cls]
+        if z_step is None:
+            ends.append(y)
+        else:
+            step[y] = z_step
+        if w_step is None:
+            ends.append(x)
+        else:
+            step[x] = w_step
+        if z_step is None or w_step is None:
+            kept.append(cid)
     if not kept:
         return [], 0
-    n = 2 * len(table)  # arc a + 1 follows arc a along the knot, arc 1 follows arc n
-    segment: Dict[int, Tuple[int, Exps]] = {}
-    head = start = kept[0].z_out if kept[0].z_out not in step else kept[0].w_out
-    e = (0, 0, 0, 0)
-    for a in range(start, start + n):
-        a = a - n if a > n else a
-        d = step.get(a)
-        if d is None:
-            head, e = a, (0, 0, 0, 0)
-        else:
-            e = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
-        segment[a] = (head, e)
+    ends.sort()
+    total = [0, *accumulate(step)]  # total[p]: the steps at positions < p
+
+    def segment(p: int) -> Tuple[int, Exps]:
+        """(head, exponents) of the arc that enters position p."""
+        head = ends[bisect_left(ends, p) - 1] + 1  # a kept row's target, in 1..n
+        v = total[p] - total[head] + (total[n] if head > p else 0)
+        return head, _unpack(v)
+
     folded = []
-    for c in kept:
-        (x, x_exp), (y, y_exp) = segment[c.x_in], segment[c.y_in]
-        z, w = (0 if t in step else t for t in (c.z_out, c.w_out))
-        folded.append(Crossing(c.cid, c.cls, x, y, z, w, x_exp, y_exp))
+    for cid in sorted(kept):
+        cls, x, y = role_map[cid]
+        z_step, w_step = _STEPS[cls]
+        (x_in, x_exp), (y_in, y_exp) = segment(x), segment(y)
+        folded.append(Crossing(cid, cls, x_in, y_in, 0 if z_step is not None else y + 1,
+                               0 if w_step is not None else x + 1, x_exp, y_exp))
     targets = [t for c in folded for t in (c.z_out, c.w_out) if t]
     rank = {t: j for j, t in enumerate(sorted(targets))}
-    sign = (_permutation_sign([t - 1 for c in table for t in (c.z_out, c.w_out)])
+    sign = (_permutation_sign([p for _cls, x, y in role_map.values() for p in (y, x)])
             * _permutation_sign([rank[t] for t in targets]) * (-1) ** len(targets))
     return folded, sign
 
@@ -501,11 +542,11 @@ class InvariantResult:
     n_virtual: int
 
 
-def _det_A(code: DiagramCode, table: List[Crossing]) -> LaurentPoly:
-    """det A of a crossing table of code, exactly: eps * det(K), K the
-    build_matrix_A of the table that fold_steps leaves (see the module
-    docstring), and 0 when fold_steps keeps no row."""
-    folded, sign = fold_steps(table)
+def _det_A(code: DiagramCode, role_map: Dict[int, Role]) -> LaurentPoly:
+    """det A of code, its roles given as ``role_map``, exactly: eps * det(K),
+    K the build_matrix_A of the table that fold_roles leaves (see the module
+    docstring), and 0 when fold_roles keeps no row."""
+    folded, sign = fold_roles(role_map, len(code.passes))
     if not sign:
         return LaurentPoly.zero()
     det = determinant(build_matrix_A(code, folded))
@@ -515,15 +556,15 @@ def _det_A(code: DiagramCode, table: List[Crossing]) -> LaurentPoly:
 def parity_alexander(code: DiagramCode) -> InvariantResult:
     """Canonical invariant of a diagram code, with widths and crossing counts.
 
-    Computed as ``_det_A`` of ``crossings(code)``, no Fox derivatives
+    Computed as ``_det_A`` of ``roles(code)``, no Fox derivatives
     involved; the gcd-of-minors definition agrees up to unit and is kept
     as the small-instance oracle gcd_of_minors.  The empty code gives 0,
     as its R1 and V1 neighbours do.
     """
-    table = crossings(code)
-    canonical, unit = _det_A(code, table).canonicalize()
+    role_map = roles(code)
+    canonical, unit = _det_A(code, role_map).canonicalize()
     zero = canonical.is_zero()
-    kinds = [c.cls for c in table]
+    kinds = [cls for cls, _x, _y in role_map.values()]
     return InvariantResult(
         canonical=canonical,
         unit=unit,
@@ -641,27 +682,27 @@ def gcd_of_minors(matrix: AlexanderMatrix) -> LaurentPoly:
 # -- skein triples ------------------------------------------------------------------
 
 
-def _skein_tables(code: DiagramCode, crossing_id: int) -> List[List[Crossing]]:
-    """crossings(code) with the selected even crossing's class replaced by
+def _skein_roles(code: DiagramCode, crossing_id: int) -> List[Dict[int, Role]]:
+    """roles(code) with the selected even crossing's class replaced by
     "even+", "even-" and "smooth"."""
-    table = crossings(code)
-    k = next((i for i, c in enumerate(table) if c.cid == crossing_id), None)
-    if k is None or table[k].cls == "virtual":
+    role_map = roles(code)
+    role = role_map.get(crossing_id)
+    if role is None or role[0] == "virtual":
         raise DiagramError(f"crossing {crossing_id} is not classical")
-    if table[k].cls == ODD:
+    if role[0] == ODD:
         raise DiagramError(f"crossing {crossing_id} is odd; use switch_crossing")
-    return [table[:k] + [table[k]._replace(cls=cls)] + table[k + 1:]
-            for cls in ("even+", "even-", "smooth")]
+    return [{**role_map, crossing_id: (cls, *role[1:])} for cls in ("even+", "even-", "smooth")]
 
 
 def skein_matrices(code: DiagramCode, crossing_id: int
                    ) -> Tuple[AlexanderMatrix, AlexanderMatrix, AlexanderMatrix]:
     """(M_plus, M_minus, M_smooth): the unfolded A of the three skein
-    tables, the selected even crossing's two rows read off the "even+",
+    role maps, the selected even crossing's two rows read off the "even+",
     "even-" and "smooth" templates; the other rows and the labeling are
     shared.  ``check_even_skein`` takes the same determinants through the
     fold; the tests compare it with these."""
-    plus, minus, smooth = (build_matrix_A(code, t) for t in _skein_tables(code, crossing_id))
+    plus, minus, smooth = (build_matrix_A(code, crossings(code, r))
+                           for r in _skein_roles(code, crossing_id))
     return plus, minus, smooth
 
 
@@ -677,9 +718,9 @@ class SkeinReport:
 def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
     """Evaluate the skein identity D+ - st D- = (1-st) Dv exactly (no unit
     normalization; the shared labeling makes the determinants comparable).
-    Each is ``_det_A`` of a skein table, the same fold and kernel as
+    Each is ``_det_A`` of a skein role map, the same fold and kernel as
     ``parity_alexander``."""
-    dp, dm, dv = (_det_A(code, t) for t in _skein_tables(code, crossing_id))
+    dp, dm, dv = (_det_A(code, r) for r in _skein_roles(code, crossing_id))
     st = LaurentPoly.var("s") * LaurentPoly.var("t")
     return SkeinReport(
         crossing_id=crossing_id,

@@ -26,16 +26,22 @@ strand's direction, forms a positively oriented frame; x/w are the incoming
 and outgoing arcs of X, y/z those of the other strand.  For classical
 crossings this means: positive sign => x is the over-incoming arc,
 negative sign => x is the under-incoming arc.  For virtual crossings the
-frame bit marks the X pass directly.  ``crossings`` applies this rule and
-sorts each crossing into its class, "virtual", "odd", "even+" or "even-".
-A classical crossing is odd iff an odd number of classical passes lie
-between its two passes: virtual passes are ignored, and either gap gives
-the same parity, since the classical passes are even in number.
+frame bit marks the X pass directly.  ``roles`` applies this rule in one
+walk of the passes: it gives each crossing its class, "virtual", "odd",
+"even+" or "even-", and the positions of its X pass and of its other
+pass, from which every role arc follows (the pass at position p is
+entered by arc p, arc n at p = 0, and left by arc p + 1).  A classical
+crossing is odd iff an odd number of classical passes lie between its two
+passes: virtual passes are ignored, and either gap gives the same parity,
+since the classical passes are even in number.  ``crossings`` and
+``parity`` are views of that map.
 
 A ``DiagramCode`` is checked when it is built: its constructor raises
-``DiagramError`` naming every violated invariant.  Every code, parsed,
-realized, moved or built by hand, goes through the constructor, so
-functions trust the codes they are given and never check them again.
+``DiagramError`` naming every violated invariant.  A valid code passes one
+linear test; only a code that fails it is checked crossing by crossing.
+Every code, parsed, realized, moved or built by hand, goes through the
+constructor, so functions trust the codes they are given and never check
+them again.
 
 All operations are pure: they never mutate their inputs.
 """
@@ -62,8 +68,7 @@ class MoveError(ValueError):
     """Raised when a move's local pattern is not present at the given site."""
 
 
-@dataclass(frozen=True, slots=True)
-class Pass:
+class Pass(NamedTuple):
     cid: int
     kind: str          # OVER, UNDER or VIRTUAL
     frame: bool = False  # meaningful for VIRTUAL passes only
@@ -141,8 +146,36 @@ def _parse_code(text: str, tokens: Dict[str, Tuple[Pass, int]]) -> DiagramCode:
     return DiagramCode(tuple(passes), signs)
 
 
+# (kind, frame) of a pass whose crossing has a sign, and of one that has none
+_SIGNED_PASSES = {(OVER, False), (UNDER, False)}
+_UNSIGNED_PASSES = {(VIRTUAL, True), (VIRTUAL, False)}
+
+
 def validate(code: DiagramCode) -> List[str]:
-    """Return every violated invariant, with the offending crossing id."""
+    """Return every violated invariant, with the offending crossing id.
+
+    A valid code is accepted by one linear test: its passes are distinct
+    and number twice its ids, every id is at least 1, a pass is virtual iff
+    its id has no sign, no classical pass carries a frame bit, and every
+    sign is +1 or -1 on an id that is present.  Distinct passes of these
+    kinds give each id at most two, so exactly two: an over and an under
+    pass, or a virtual pass with the frame bit and one without.  A code
+    that fails the test gets the per-crossing report, which leaves frame
+    bits on classical passes unread, so it accepts such a code."""
+    passes, signs = code.passes, code.signs
+    ids = {cid for cid, _kind, _frame in passes}
+    if (len(passes) == 2 * len(ids) == len(set(passes))
+            and min(ids, default=1) >= 1
+            and signs.keys() <= ids
+            and all(s in (1, -1) for s in signs.values())
+            and all((kind, frame) in (_SIGNED_PASSES if cid in signs else _UNSIGNED_PASSES)
+                    for cid, kind, frame in passes)):
+        return []
+    return _violations(code)
+
+
+def _violations(code: DiagramCode) -> List[str]:
+    """validate's report: every violated invariant, crossing by crossing."""
     out: List[str] = []
     by_cid: Dict[int, List[Pass]] = {}
     for p in code.passes:
@@ -213,14 +246,48 @@ def parse_vkd(text: str) -> List[Tuple[Optional[str], DiagramCode]]:
     return out
 
 
-# -- the crossing table -------------------------------------------------------
+# -- crossing roles -------------------------------------------------------------
+
+
+Role = Tuple[str, int, int]  # (class, X-pass position, other-pass position)
+
+
+def roles(code: DiagramCode) -> Dict[int, Role]:
+    """Every crossing's class and the positions of its X pass and of its
+    other pass, in the order in which the walk meets each second pass.
+
+    This is the one place that reads sign, parity and frame bit to classify
+    a crossing and assign its roles.  The walk counts classical passes
+    only: a crossing is odd iff the count between its two passes is odd,
+    and the other gap gives the same parity.
+    """
+    signs = code.signs
+    # cid -> position of its first pass, paired with the classical count if classical
+    first: Dict[int, object] = {}
+    k = 0  # classical passes so far
+    out: Dict[int, Role] = {}
+    for pos, (cid, kind, frame) in enumerate(code.passes):
+        if kind == VIRTUAL:
+            i = first.setdefault(cid, pos)
+            if i != pos:  # the frame bit marks the X pass
+                out[cid] = ("virtual", pos, i) if frame else ("virtual", i, pos)
+            continue
+        k += 1
+        i, k_i = first.setdefault(cid, (pos, k))
+        if i != pos:
+            sign = signs[cid]
+            cls = ODD if (k - k_i - 1) % 2 else "even+" if sign > 0 else "even-"
+            # X enters at the over pass of a positive crossing, the under pass of a negative one
+            out[cid] = (cls, i, pos) if (kind == UNDER) == (sign > 0) else (cls, pos, i)
+    return out
 
 
 class Crossing(NamedTuple):
-    """One crossing: its class and the four semi-arcs that meet there.  In a
-    table folded by ``alexander.fold_steps`` (even crossings only) the arcs
-    are segment heads, 0 for a contracted row's target, and x_in, y_in stand
-    for s^a t^b q^c h^d times their heads, (a, b, c, d) = x_exp, y_exp."""
+    """One crossing: its class and the four semi-arcs that meet there, read
+    off its ``roles`` entry.  In a table folded by ``alexander.fold_roles``
+    (even crossings only) the arcs are segment heads, 0 for a contracted
+    row's target, and x_in, y_in stand for s^a t^b q^c h^d times their
+    heads, (a, b, c, d) = x_exp, y_exp."""
     cid: int
     cls: str    # "virtual", "odd", "even+" or "even-"
     x_in: int   # incoming arc of the X strand
@@ -231,44 +298,22 @@ class Crossing(NamedTuple):
     y_exp: Tuple[int, int, int, int] = (0, 0, 0, 0)  # weight on y_in
 
 
-def crossings(code: DiagramCode) -> List[Crossing]:
-    """Every crossing's class and role arcs, in ascending id order.
-
-    This is the one place that numbers the semi-arcs and reads sign, parity
-    and frame bit to classify a crossing and assign its roles.  The walk
-    counts classical passes only: a crossing is odd iff the count between
-    its two passes is odd, and the other gap gives the same parity.
-    """
+def crossings(code: DiagramCode,
+              role_map: Optional[Dict[int, Role]] = None) -> List[Crossing]:
+    """Every crossing's class and role arcs, in ascending id order: a view
+    of ``role_map``, which is ``roles(code)`` unless the caller gives one.
+    The pass at position p is entered by arc p (arc n at p = 0) and left
+    by arc p + 1."""
     n = len(code.passes)
-    first: Dict[int, int] = {}  # cid -> position of its first pass
-    before: List[int] = []  # position -> classical passes before it
-    k = 0
-    out: List[Crossing] = []
-    for pos, p in enumerate(code.passes):
-        before.append(k)
-        k += p.kind != VIRTUAL
-        i = first.pop(p.cid, None)
-        if i is None:
-            first[p.cid] = pos
-            continue
-        sign = code.signs.get(p.cid)
-        if sign is None:
-            cls = "virtual"
-            x_first = code.passes[i].frame
-        else:
-            cls = ODD if (before[pos] - before[i] - 1) % 2 else "even+" if sign > 0 else "even-"
-            x_first = code.passes[i].kind == (OVER if sign > 0 else UNDER)
-        x, y = (i, pos) if x_first else (pos, i)
-        out.append(Crossing(p.cid, cls, x or n, y or n, y + 1, x + 1))
-    out.sort()
-    return out
+    return [Crossing(cid, cls, x or n, y or n, y + 1, x + 1)
+            for cid, (cls, x, y) in sorted((role_map or roles(code)).items())]
 
 
 def parity(code: DiagramCode) -> Dict[int, str]:
     """Each classical crossing's parity, ODD or EVEN, in ascending id order:
-    the parity ``crossings`` reads."""
-    return {c.cid: ODD if c.cls == ODD else EVEN
-            for c in crossings(code) if c.cls != "virtual"}
+    the parity ``roles`` reads."""
+    return {cid: ODD if cls == ODD else EVEN
+            for cid, (cls, _x, _y) in sorted(roles(code).items()) if cls != "virtual"}
 
 
 # -- symmetry operators ---------------------------------------------------------
@@ -365,9 +410,10 @@ _LENGTHS = {"r1_insert": (4,), "v1_insert": (2, 3), "r2_insert": (4,), "v2_inser
 
 def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
     """The insert rule.  The new crossings take the fresh ids c and d, the
-    largest id + 1 and + 2.  Each arc is checked against 1..arc_count in
-    the order the move gives, and blocks on one arc are placed in that
-    order.  A bad option raises MoveError before any arc is checked."""
+    largest id + 1 and + 2.  Each arc is checked to be an int in
+    1..arc_count in the order the move gives, and blocks on one arc are
+    placed in that order.  A bad option raises MoveError before any arc is
+    checked."""
     kind = move[0]
     c = max([p.cid for p in code.passes], default=0) + 1
     d = c + 1
@@ -405,6 +451,8 @@ def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
     n = code.arc_count
     placed: Dict[int, List[Pass]] = {}  # insertion position -> passes
     for arc, block in sites:
+        if not isinstance(arc, int):
+            raise MoveError(f"bad {kind} parameters {move!r}")
         if not 1 <= arc <= n:
             raise MoveError(f"arc {arc} out of range 1..{n}")
         placed.setdefault(arc % n, []).extend(block)

@@ -198,25 +198,28 @@ def _intersections(segs: List[Tuple[Point, Point]]) -> List[List[Point]]:
     events: List[Tuple[int, int, int]] = []  # (x, 0 open / 1 query / 2 close, segment)
     lines: List[Tuple[int, int, int, int, int]] = []  # (axis, line, lo, hi, segment)
     for i, ((ax, ay), (bx, by)) in enumerate(segs):
-        axis = int(ay != by)  # 0 horizontal, 1 vertical
-        e1, e2 = (ay, by) if axis else (ax, bx)
-        lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
-        span.append((lo, hi, ax if axis else ay))
-        lines.append((axis, span[i][2], lo, hi, i))
-        events += [(ax, 1, i)] if axis else [(lo, 0, i), (hi, 2, i)]
+        if ay == by:  # horizontal: axis 0
+            lo, hi = (ax, bx) if ax < bx else (bx, ax)
+            span.append((lo, hi, ay))
+            lines.append((0, ay, lo, hi, i))
+            events.append((lo, 0, i))
+            events.append((hi, 2, i))
+        else:
+            lo, hi = (ay, by) if ay < by else (by, ay)
+            span.append((lo, hi, ax))
+            lines.append((1, ax, lo, hi, i))
+            events.append((ax, 1, i))
+    events.sort()
 
     hits: List[List[Point]] = [[] for _ in segs]
     active: List[Tuple[int, int]] = []  # (y, segment) of the open horizontals
     crossed = set()
-    for x, kind, i in sorted(events):
-        if kind == 0:
-            insort(active, (span[i][2], i))
-        elif kind == 2:
-            del active[bisect_left(active, (span[i][2], i))]
-        else:
+    for x, kind, i in events:
+        if kind == 1:
             y1, y2, _x = span[i]
             for y, h in active[bisect_left(active, (y1, -1)):bisect_right(active, (y2, m))]:
-                if not (span[h][0] < x < span[h][1] and y1 < y < y2):
+                x1, x2, _y = span[h]
+                if not (x1 < x < x2 and y1 < y < y2):
                     if adjacent(h, i):
                         continue
                     raise RealizationError(
@@ -227,9 +230,13 @@ def _intersections(segs: List[Tuple[Point, Point]]) -> List[List[Point]]:
                 crossed.add(p)
                 hits[h].append(p)
                 hits[i].append(p)
+        elif kind == 0:
+            insort(active, (span[i][2], i))
+        else:
+            del active[bisect_left(active, (span[i][2], i))]
     lines.sort()
     for (axis1, c1, _lo1, hi1, i1), (axis2, c2, lo2, _hi2, i2) in zip(lines, lines[1:]):
-        if (axis1, c1) == (axis2, c2) and (lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2))):
+        if axis1 == axis2 and c1 == c2 and (lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2))):
             raise RealizationError(
                 f"collinear segments touch on {'yx'[axis1]}={c1}: #{i1}, #{i2}")
     for (a, b), seg_hits in zip(segs, hits):
@@ -265,26 +272,33 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
     # virtual point -> (pass index, direction, id) of its first visit; None after the second
     first: Dict[Point, Optional[Tuple[int, Tuple[int, int], int]]] = {}
     for (a, b), seg_hits in zip(segs, _intersections(segs)):
-        d = ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
+        dx, dy = (b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1])
+        d = (dx, dy)
+        classical_kind = OVER if dy == 0 else UNDER
         for p in seg_hits:
             cid = center_of.get(p)
             if cid is not None:
-                # classical sign sanity: over runs east, under runs north for +, south for -
-                if a[1] != b[1] and frame_sign((1, 0), d) != sign_of[cid]:
+                # classical sign sanity: over runs east, under runs north for +, south for -,
+                # so the frame (east, d) of an under pass has the sign dy
+                if dy and dy != sign_of[cid]:
                     raise RealizationError(f"geometric sign mismatch at crossing {cid}")
-                final.append(Pass(cid, OVER if a[1] == b[1] else UNDER))
-            elif p not in first:
+                final.append(Pass(cid, classical_kind))
+                continue
+            visit = first.get(p, 0)  # 0: not visited yet
+            if visit == 0:
                 first[p] = (len(final), d, next_vid)
                 final.append(None)  # filled in at the second visit, which fixes the frame bit
                 next_vid += 1
-            elif first[p] is None:
+            elif visit is None:
                 raise RealizationError("virtual crossing visited other than twice")
             else:
-                j, d1, vid = first[p]
+                j, d1, vid = visit
                 first[p] = None
-                framed = frame_sign(d1, d) > 0
-                final[j] = Pass(vid, VIRTUAL, framed)
-                final.append(Pass(vid, VIRTUAL, not framed))
+                det = d1[0] * dy - d1[1] * dx  # frame_sign(d1, d), inlined
+                if det == 0:
+                    raise RealizationError(f"parallel directions {d1}, {d}")
+                final[j] = Pass(vid, VIRTUAL, det > 0)
+                final.append(Pass(vid, VIRTUAL, det < 0))
     if any(visit is not None for visit in first.values()):
         raise RealizationError("virtual crossing visited other than twice")
 

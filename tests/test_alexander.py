@@ -16,13 +16,15 @@ from paritypoly.alexander import (
     fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
 )
 from paritypoly.diagram import (
-    OVER, VIRTUAL, DiagramCode, DiagramError, Pass,
+    OVER, UNDER, VIRTUAL, DiagramCode, DiagramError, Pass,
     apply_move, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
-    removal_sites,
+    removal_sites, roles,
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
-from paritypoly.realize import parse_gauss_file, realize
+from paritypoly.realize import parse_gauss, parse_gauss_file, realize
 from paritypoly.verify import enumerate_small_codes, suite_prop1
+
+from golden_batch import random_gauss_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -187,17 +189,110 @@ def test_parity_alexander_builds_one_row_per_even_crossing(monkeypatch):
         shapes.clear()
         assert parity_alexander(parse_diagram(text)).canonical.is_zero(), text
         assert shapes == [], text
-    assert ax.fold_steps(crossings(parse_diagram("V1x V2x V1y V2y"))) == ([], 0)
-    assert ax.fold_steps(crossings(parse_diagram("O1+ O2+ U1+ U2+"))) == ([], 0)
-    assert ax.fold_steps([]) == ([], 0)
+    for text in ("V1x V2x V1y V2y", "O1+ O2+ U1+ U2+"):
+        assert ax.fold_roles(roles(parse_diagram(text)), 4) == ([], 0)
+    assert ax.fold_roles({}, 0) == ([], 0)
     # the even+ crossing keeps its z row, the even- crossing its w row,
     # and every incoming arc becomes a head, the target of a kept row
-    table = crossings(parse_diagram("O1+ U1+ V3x O2- U2- V3y"))
-    folded, _sign = ax.fold_steps(table)
+    code = parse_diagram("O1+ U1+ V3x O2- U2- V3y")
+    table = crossings(code)
+    folded, _sign = ax.fold_roles(roles(code), len(code.passes))
     assert [(c.cid, c.cls, c.z_out, c.w_out) for c in folded] == [
         (1, "even+", table[0].z_out, 0), (2, "even-", 0, table[1].w_out)]
     heads = {table[0].z_out, table[1].w_out}
     assert all({c.x_in, c.y_in} <= heads for c in folded)
+
+
+def _routed_codes():
+    """Seeded random signed Gauss codes of 3-20 crossings, each realized both
+    ways; the larger ones carry hundreds of virtual passes."""
+    rng = random.Random(61)
+    codes = []
+    for n in [3, 20] + [rng.randint(3, 20) for _ in range(8)]:
+        g = parse_gauss(random_gauss_text(rng, n))
+        codes += [realize(g, 0), realize(g, 1)]
+    return codes
+
+
+def test_fold_equals_the_unfolded_determinant_on_routed_codes():
+    codes = _routed_codes()
+    assert max(len(code.virtual_ids()) for code in codes) > 100
+    for code in codes:
+        assert ax._det_A(code, roles(code)) == determinant(build_matrix_A(code)), code.to_text()
+
+
+def test_folded_skein_triple_equals_the_unfolded_determinants_on_routed_codes():
+    sites = 0
+    for code in _routed_codes():
+        even = [c.cid for c in crossings(code) if c.cls in ("even+", "even-")]
+        for cid in even[:2]:
+            rep = check_even_skein(code, cid)
+            unfolded = tuple(map(determinant, skein_matrices(code, cid)))
+            assert (rep.d_plus, rep.d_minus, rep.d_smooth) == unfolded, (code.to_text(), cid)
+            sites += 1
+    assert sites > 30
+
+
+def _st1_law_sum(code):
+    """sum over even crossings c of eps_c (m_c^eps_c - 1), eps_c the sign of
+    c and m_c the product of the one-step weights met strictly between c's
+    other pass and its X pass, walking on: q at a virtual crossing's X pass
+    and q^-1 at its other pass, h and h^-1 likewise at an odd crossing.
+    Classes and X passes are read off the passes here, not through roles."""
+    passes, signs = code.passes, code.signs
+    n = len(passes)
+    at, classical = {}, [0]  # classical[k]: classical passes at positions < k
+    for pos, p in enumerate(passes):
+        at.setdefault(p.cid, []).append(pos)
+        classical.append(classical[-1] + (p.kind != VIRTUAL))
+    x_at, cls = {}, {}
+    for cid, (i, j) in at.items():
+        if cid in signs:
+            x_first = passes[i].kind == (OVER if signs[cid] > 0 else UNDER)
+            cls[cid] = "odd" if (classical[j] - classical[i + 1]) % 2 else "even"
+        else:
+            x_first = passes[i].frame
+            cls[cid] = "virtual"
+        x_at[cid] = i if x_first else j
+    before = [(0, 0)]  # before[k]: (q, h) exponents of the weights at positions < k
+    for pos, p in enumerate(passes):
+        e = 1 if x_at[p.cid] == pos else -1
+        dq, dh = {"virtual": (e, 0), "odd": (0, e), "even": (0, 0)}[cls[p.cid]]
+        before.append((before[-1][0] + dq, before[-1][1] + dh))
+    out = ZERO
+    for cid in (c for c, kind in cls.items() if kind == "even"):
+        x = x_at[cid]
+        y = sum(at[cid]) - x
+        wrap = before[n] if x <= y else (0, 0)
+        eq = before[x][0] + wrap[0] - before[y + 1][0]
+        eh = before[x][1] + wrap[1] - before[y + 1][1]
+        eps = signs[cid]
+        out = out + eps * (LaurentPoly.term(1, 0, 0, eps * eq, eps * eh) - ONE)
+    return out
+
+
+def _at_s_t_equal_1(p):
+    out = ZERO
+    for (_es, _et, eq, eh), c in p.terms.items():
+        out = out + LaurentPoly.term(c, 0, 0, eq, eh)
+    return out
+
+
+def test_invariant_over_1_minus_st_at_s_t_1_is_the_even_crossing_sum():
+    """With R = P / (1 - st), R(1, 1, q, h) equals the sum of _st1_law_sum up
+    to a signed monomial: a linear-time oracle for the fold at every size."""
+    rng = random.Random(62)
+    codes = _routed_codes() + [random_code(rng, max_crossings=rng.randint(1, 10),
+                                           p_virtual=rng.choice([0, 0.3, 0.6]))
+                               for _ in range(300)]
+    nonzero = 0
+    for code in codes:
+        p = parity_alexander(code).canonical
+        got = _at_s_t_equal_1(p.exact_div(ONE - S * T)) if p else ZERO
+        want = _st1_law_sum(code)
+        assert got.equal_up_to_unit(want) if want else not got, code.to_text()
+        nonzero += bool(want)
+    assert nonzero > 80
 
 
 def _odd_made_virtual(code):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,8 @@ from paritypoly import diagram
 from paritypoly.alexander import parity_alexander
 from paritypoly.diagram import (
     DiagramCode, DiagramError, EVEN, ODD, OVER, Pass, UNDER, VIRTUAL,
-    apply_move, classical_gauss_code, crossings, flip, parity, parse_diagram,
-    parse_vkd, random_code, random_code_of_size, relabel, reverse,
+    Crossing, apply_move, classical_gauss_code, crossings, flip, parity,
+    parse_diagram, parse_vkd, random_code, random_code_of_size, relabel, reverse, roles,
     shift_basepoint, switch, switched_flip, validate,
 )
 from paritypoly.realize import parse_gauss, parse_gauss_file, realize
@@ -53,6 +54,131 @@ def test_validate_violations():
         DiagramCode((Pass(1, OVER), Pass(1, UNDER)), {})
     assert validate(parse_diagram("O1+ U2+ U1+ O2+")) == []
     assert validate(DiagramCode((), {})) == []
+
+
+def _refusal(passes, signs):
+    """The DiagramError text of building the code, or None if it builds."""
+    try:
+        DiagramCode(tuple(passes), signs)
+    except DiagramError as exc:
+        return str(exc)
+    return None
+
+
+def test_each_corruption_gives_its_report_text():
+    base = parse_diagram("O1+ U2- V3x U1+ O2- V3y")
+    passes, signs = list(base.passes), dict(base.signs)
+
+    def swap(old, new):
+        return [new if p == old else p for p in passes]
+
+    cases = [
+        (passes[:-1], signs,
+         "crossing 3: appears 1 times, wants 2; pass count 5 != 2 * 3 crossings"),
+        (passes + [Pass(1, OVER)], signs,
+         "crossing 1: appears 3 times, wants 2; pass count 7 != 2 * 3 crossings"),
+        (swap(Pass(1, UNDER), Pass(1, OVER)), signs, "crossing 1: two over passes"),
+        (swap(Pass(2, OVER), Pass(2, UNDER)), signs, "crossing 2: two under passes"),
+        (swap(Pass(3, VIRTUAL), Pass(3, UNDER)), {**signs, 3: 1},
+         "crossing 3: mixes classical and virtual passes"),
+        (swap(Pass(3, VIRTUAL, True), Pass(3, VIRTUAL)), signs,
+         "crossing 3: virtual crossing has 0 frame bits, wants 1"),
+        (swap(Pass(3, VIRTUAL), Pass(3, VIRTUAL, True)), signs,
+         "crossing 3: virtual crossing has 2 frame bits, wants 1"),
+        (passes, {**signs, 3: 1}, "crossing 3: virtual crossing must not carry a sign"),
+        (passes, {2: -1}, "crossing 1: classical crossing without a sign"),
+        (passes, {**signs, 9: 1}, "crossing 9: sign given but crossing absent"),
+        (passes, {**signs, 1: 2}, "crossing 1: sign must be +1 or -1"),
+        ([p._replace(cid=0) if p.cid == 3 else p for p in passes], signs,
+         "crossing 0: id must be a positive integer"),
+    ]
+    for corrupt, corrupt_signs, text in cases:
+        assert _refusal(corrupt, corrupt_signs) == text
+    # the linear test refuses a frame bit on a classical pass, and the
+    # report, which reads no frame bit there, accepts the code
+    framed = DiagramCode(tuple(swap(Pass(1, OVER), Pass(1, OVER, True))), signs)
+    assert validate(framed) == [] and framed.passes[0] == Pass(1, OVER, True)
+
+
+def _mutated(rng, code):
+    """passes and signs of code after one or two random corruptions."""
+    passes, signs = list(code.passes), dict(code.signs)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(passes))
+        what = rng.randrange(7)
+        if what == 0:
+            del passes[i]
+        elif what == 1:
+            passes.insert(rng.randrange(len(passes) + 1), passes[i])
+        elif what == 2:
+            passes[i] = passes[i]._replace(kind=rng.choice([OVER, UNDER, VIRTUAL]))
+        elif what == 3:
+            passes[i] = passes[i]._replace(frame=not passes[i].frame)
+        elif what == 4:
+            passes[i] = passes[i]._replace(cid=rng.choice([0, -1, rng.randint(1, 9)]))
+        elif what == 5:
+            signs[rng.randint(0, 9)] = rng.choice([1, -1, 2, 0])
+        elif signs:
+            del signs[rng.choice(list(signs))]
+        if not passes:
+            break
+    return passes, signs
+
+
+def test_linear_accept_and_report_agree_on_random_corruptions():
+    """The constructor refuses a code, with the per-crossing report's text,
+    exactly when that report is not empty."""
+    rng = random.Random(23)
+    refused = accepted = 0
+    for _ in range(3000):
+        passes, signs = _mutated(rng, random_code(rng, max_crossings=6, p_virtual=0.5))
+        report = diagram._violations(SimpleNamespace(passes=tuple(passes), signs=signs))
+        text = _refusal(passes, signs)
+        assert text == ("; ".join(report) if report else None), (passes, signs)
+        refused += bool(report)
+        accepted += not report
+    assert refused > 2000 and accepted > 50
+
+
+def _arc_walk_crossings(code):
+    """The crossing table read by walking the arcs, as built before the
+    role map: the oracle for the ``crossings`` view."""
+    n = len(code.passes)
+    first, before, out, k = {}, [], [], 0
+    for pos, p in enumerate(code.passes):
+        before.append(k)
+        k += p.kind != VIRTUAL
+        i = first.pop(p.cid, None)
+        if i is None:
+            first[p.cid] = pos
+            continue
+        sign = code.signs.get(p.cid)
+        if sign is None:
+            cls = "virtual"
+            x_first = code.passes[i].frame
+        else:
+            cls = ODD if (before[pos] - before[i] - 1) % 2 else "even+" if sign > 0 else "even-"
+            x_first = code.passes[i].kind == (OVER if sign > 0 else UNDER)
+        x, y = (i, pos) if x_first else (pos, i)
+        out.append(Crossing(p.cid, cls, x or n, y or n, y + 1, x + 1))
+    return sorted(out)
+
+
+def test_crossings_view_equals_the_arc_walk():
+    rng = random.Random(24)
+    codes = [random_code(rng, max_crossings=rng.choice([3, 8, 20]),
+                         p_virtual=rng.choice([0.0, 0.4, 0.8])) for _ in range(300)]
+    codes += [realize(g, strategy=s) for path in sorted(FIXTURES.glob("*.gauss"))
+              for _name, g in parse_gauss_file(path.read_text()) for s in (0, 1)]
+    codes += enumerate_small_codes()
+    for code in codes:
+        assert crossings(code) == _arc_walk_crossings(code), code.to_text()
+        seen, second = set(), []  # ids in the order of their second pass
+        for p in code.passes:
+            if p.cid in seen:
+                second.append(p.cid)
+            seen.add(p.cid)
+        assert list(roles(code)) == second
 
 
 def test_code_is_validated_once_when_built(monkeypatch):

@@ -1,0 +1,25 @@
+"""The `.gauss` path against its pinned output (see golden_batch.py)."""
+
+import json
+
+from golden_batch import GOLDEN, FIXTURES, batch_entry, code_entry, gauss_codes
+
+
+def _golden():
+    return [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+
+
+def test_batch_output_equals_the_pinned_lines():
+    pinned = [e for e in _golden() if "batch" in e]
+    assert [e["batch"] for e in pinned] == sorted(p.name for p in FIXTURES.glob("*.gauss"))
+    for entry in pinned:
+        assert batch_entry(FIXTURES / entry["batch"]) == entry
+
+
+def test_realized_codes_and_records_equal_the_pinned_ones():
+    pinned = [e for e in _golden() if "record" in e]
+    codes = [(source, name, text, s) for source, name, text in gauss_codes() for s in (0, 1)]
+    assert [(e["source"], e["gauss"], e["strategy"]) for e in pinned] == \
+        [(source, text, s) for source, _name, text, s in codes]
+    for entry, code in zip(pinned, codes):
+        assert code_entry(*code) == entry, (entry["gauss"], entry["strategy"])

@@ -140,6 +140,11 @@ def test_move_preconditions():
             "bad v2_insert parameters ('v2_insert', 1, 2, 'foo')")
     refused(code, ("v2_insert", 1, 2, "anti", "par"),
             "bad v2_insert parameters ('v2_insert', 1, 2, 'anti', 'par')")
+    # an arc that is not an int (JSON move files can hold one)
+    refused(code, ("v2_insert", "z", 2), "bad v2_insert parameters ('v2_insert', 'z', 2)")
+    refused(code, ("r2_insert", "y", "u", "po+"),
+            "bad r2_insert parameters ('r2_insert', 'y', 'u', 'po+')")
+    refused(code, ("r2_insert", 9, "u", "po+"), "arc 9 out of range 1..4")  # arcs in order
     refused(code, ("r3_insert", 1), "unknown move kind 'r3_insert'")
     refused(code, (["r1_remove"], 1), "unknown move kind ['r1_remove']")
     # one too short and one too long tuple per kind
