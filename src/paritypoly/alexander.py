@@ -59,11 +59,13 @@ is the virtual one, so the invariant at h = q is that of the code with its
 odd crossings made virtual, framed on their X pass, whenever that keeps
 every even crossing even.
 
-``determinant`` divides nowhere: it pivots on the +/- monomial entries
-(unit pivots: in the sparsest row, at the unit column the fewest rows
-hold), then expands the small unit-free core that is left by a memoized
-Laplace expansion.  ``gcd_of_minors`` reads its minors off the same
-expansion.
+``determinant`` divides nowhere: its kernel ``_det_parts`` pivots on the
++/- monomial entries (unit pivots: in the sparsest row, at the unit column
+the fewest rows hold), then expands the small unit-free core that is left
+by a memoized Laplace expansion, and returns the core's determinant and
+the pivots' signed monomial apart, so that ``parity_alexander`` shifts the
+terms once, to canonical form.  ``gcd_of_minors`` reads its minors off the
+same expansion.
 
 1 - st divides det(A) for every nonempty code.  Along the knot, z
 continues the y strand and w the x strand; at t = s^-1 every row of
@@ -81,6 +83,25 @@ crossing multiply to 1, so weights walked once around the knot from 1 on
 any arc close up: they are a nonzero vector v with A v = 0 at t = s^-1.
 So det(A) vanishes at t = s^-1, and the kernel of that substitution is
 the ideal of 1 - st.
+
+The quotient's value at s = t = 1 is a sum over the even crossings.  Let
+P be the canonical invariant of a nonempty code and R = P / (1 - st).
+Up to a signed monomial,
+
+    R(1, 1, q, h) = sum over even c of  eps_c (m_c^eps_c - 1),
+
+with eps_c the sign of c and m_c the product of the step weights met
+walking along the knot strictly from c's y pass to its x pass: q per
+virtual and h per odd pass on that crossing's X strand, q^-1 or h^-1 on
+its other strand.  The tests check it as an oracle on routed and random
+codes.  Proof sketch: at s = t = 1 every row of ``ROW_TEMPLATES`` is one
+step, so A0 = A(1, 1) is -I plus a weighted cycle whose weights close up
+at 1.  It has corank 1 and adj(A0) = kappa v u^T, kappa a unit, v the
+walk weight of each arc and u_r = 1 / v(target of r).  The s-derivative
+of A at (1, 1) has entries on even rows only: -x on the z row and +x on
+the w row of an even+ crossing, -y and +y on an even- one.  Jacobi's
+formula gives d_s P(1, 1) = kappa u^T (d_s A) v up to the unit, a sum of
+one term per even crossing, and d_s P(1, 1) = -R(1, 1) as P = (1 - st) R.
 
 The skein relation D+ - st D- = (1 - st) Dv (``check_even_skein``) follows
 from the z and w templates alone.  Write D(u, v) for det A with the
@@ -351,28 +372,37 @@ Terms = Dict[Exps, int]  # the terms of a LaurentPoly
 
 
 def _add_product(acc: Optional[Terms], a: Terms, b: Terms, sign: int) -> Terms:
-    """acc + sign * a * b on term dicts: into acc in place, or into a fresh
-    dict when acc is None; cancelled terms stay as zeros for the caller to
-    drop.  A single-term factor shifts the other factor; a product of two
-    multi-term factors is one ``LaurentPoly.__mul__`` call, taken as is
-    into an empty accumulator."""
-    if len(a) > 1 and len(b) > 1:
-        src = (LaurentPoly(a) * LaurentPoly(b)).terms
-        if acc is None:
-            return src if sign > 0 else {e: -c for e, c in src.items()}
-        d0 = d1 = d2 = d3 = 0
-    else:
+    """acc + sign * a * b on term dicts; cancelled terms stay as zeros for
+    the caller to drop.  Into an empty accumulator (acc None) the product
+    goes to a fresh dict: a single-term factor shifts the other factor, and
+    two multi-term factors make one ``LaurentPoly.__mul__`` call, the sign
+    on the smaller one.  Into a nonempty acc every term product is added in
+    place, the smaller factor in the outer loop, with no temporary dict."""
+    if len(a) == 1 or len(b) == 1:
         if len(a) == 1:
             a, b = b, a
         (((d0, d1, d2, d3), c),) = b.items()
-        src, sign = a, sign * c
+        sign *= c
         if acc is None:
             return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): sign * c
-                    for (e0, e1, e2, e3), c in src.items()}
+                    for (e0, e1, e2, e3), c in a.items()}
+        get = acc.get
+        for (e0, e1, e2, e3), c in a.items():
+            e = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
+            acc[e] = get(e, 0) + sign * c
+        return acc
+    if len(a) > len(b):
+        a, b = b, a
+    if acc is None:
+        return (LaurentPoly(a if sign > 0 else {e: -c for e, c in a.items()})
+                * LaurentPoly(b)).terms
     get = acc.get
-    for (e0, e1, e2, e3), c in src.items():
-        e = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
-        acc[e] = get(e, 0) + sign * c
+    right = b.items()
+    for (a0, a1, a2, a3), ca in a.items():
+        ca *= sign
+        for (b0, b1, b2, b3), cb in right:
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            acc[e] = get(e, 0) + ca * cb
     return acc
 
 
@@ -396,20 +426,34 @@ def _permutation_sign(perm: List[int]) -> int:
 
 
 def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
-    """Exact determinant, division-free: pivot on +/- monomial entries
-    while any exist (cheap row operations, most relator rows have one),
-    then expand the unit-free core with ``_laplace``.  The 0x0 matrix has
-    determinant 1.
+    """Exact determinant, division-free: poly * unit of ``_det_parts``, the
+    one product that puts the unit pivots' signed monomial on the core's
+    determinant.  The 0x0 matrix has determinant 1."""
+    poly, unit = _det_parts(matrix)
+    return poly * unit
+
+
+def _det_parts(matrix: AlexanderMatrix) -> Tuple[LaurentPoly, LaurentPoly]:
+    """(poly, unit) with det = poly * unit, unit a signed monomial (1 when
+    det is 0): pivot on +/- monomial entries while any exist (cheap row
+    operations, most relator rows have one), then expand the unit-free
+    core with ``_laplace``; poly is the core's determinant.  Callers that
+    canonicalize take poly's terms once and multiply the units.
 
     Each unit pivot is taken in the sparsest live row that has one, at the
     unit whose column the fewest live rows hold (Markowitz's fill-in rule;
     the lowest column position on a tie).  Rows wait in a heap of (length,
     row), re-queued when a pivot changes them; stale entries are skipped.
     A column -> rows index confines each step to the rows holding the pivot
-    column.  det is the product of the pivots times det(core), signed by the
-    parity of the row -> column matching: each pivot row to its column, the
-    core rows to the core columns in order.  Work rows map column position
-    -> a copy of the entry's term dict, updated in place.
+    column.  Work rows map column position -> a copy of the entry's term
+    dict.  The products of an elimination step, factor times pivot-row
+    entry, go through ``_add_product`` into the other row's entry in place,
+    or into a fresh dict where that row had none; the Laplace products go
+    into the core's growing minors.  The pivots themselves are never
+    multiplied into anything: their exponents are summed into the unit's,
+    and their signs times the parity of the row -> column matching (each
+    pivot row to its column, the core rows to the core columns in order)
+    give the unit's sign.
     """
     n_rows, n_cols = matrix.size
     if n_rows != n_cols:
@@ -432,7 +476,7 @@ def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
         if i in match or length != len(work[i]):
             continue  # stale entry
         if not length:
-            return LaurentPoly.zero()
+            return LaurentPoly.zero(), ONE
         row = work[i]
         units = [(len(holders[j]), j) for j, v in row.items()
                  if len(v) == 1 and abs(*v.values()) == 1]
@@ -474,8 +518,10 @@ def determinant(matrix: AlexanderMatrix) -> LaurentPoly:
         match[i] = j
     core = _laplace([[work[i].get(j) for j in core_cols] for i in core_rows])
     sign = unit_sign * _permutation_sign([match[i] for i in range(len(work))])
-    full = core.get((1 << len(core_cols)) - 1, {})
-    return LaurentPoly(full).shift(tuple(map(sum, zip(*pivots))), sign)
+    full = core.get((1 << len(core_cols)) - 1)
+    if full is None:
+        return LaurentPoly.zero(), ONE
+    return LaurentPoly(full), LaurentPoly({tuple(map(sum, zip(*pivots))): sign})
 
 
 def _laplace(m: Sequence[Sequence[Optional[Terms]]]) -> Dict[int, Terms]:
@@ -542,15 +588,17 @@ class InvariantResult:
     n_virtual: int
 
 
-def _det_A(code: DiagramCode, role_map: Dict[int, Role]) -> LaurentPoly:
-    """det A of code, its roles given as ``role_map``, exactly: eps * det(K),
+def _det_A(code: DiagramCode, role_map: Dict[int, Role]) -> Tuple[LaurentPoly, LaurentPoly]:
+    """det A of code, its roles given as ``role_map``, exactly, as the
+    (poly, unit) of ``_det_parts`` with det A = poly * unit: eps * det(K),
     K the build_matrix_A of the table that fold_roles leaves (see the module
-    docstring), and 0 when fold_roles keeps no row."""
+    docstring), eps folded into the unit, and (0, 1) when fold_roles keeps
+    no row."""
     folded, sign = fold_roles(role_map, len(code.passes))
     if not sign:
-        return LaurentPoly.zero()
-    det = determinant(build_matrix_A(code, folded))
-    return det if sign > 0 else -det
+        return LaurentPoly.zero(), ONE
+    poly, unit = _det_parts(build_matrix_A(code, folded))
+    return poly, (-unit if sign < 0 and poly else unit)
 
 
 def parity_alexander(code: DiagramCode) -> InvariantResult:
@@ -562,7 +610,9 @@ def parity_alexander(code: DiagramCode) -> InvariantResult:
     as its R1 and V1 neighbours do.
     """
     role_map = roles(code)
-    canonical, unit = _det_A(code, role_map).canonicalize()
+    poly, det_unit = _det_A(code, role_map)
+    canonical, unit = poly.canonicalize()
+    unit = unit * det_unit
     zero = canonical.is_zero()
     kinds = [cls for cls, _x, _y in role_map.values()]
     return InvariantResult(
@@ -720,7 +770,8 @@ def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
     normalization; the shared labeling makes the determinants comparable).
     Each is ``_det_A`` of a skein role map, the same fold and kernel as
     ``parity_alexander``."""
-    dp, dm, dv = (_det_A(code, r) for r in _skein_roles(code, crossing_id))
+    dp, dm, dv = (poly * unit for poly, unit in
+                  (_det_A(code, r) for r in _skein_roles(code, crossing_id)))
     st = LaurentPoly.var("s") * LaurentPoly.var("t")
     return SkeinReport(
         crossing_id=crossing_id,

@@ -479,6 +479,10 @@ def _removal_check(code: DiagramCode) -> Callable[[Tuple], List[int]]:
 
     def removed(move: Tuple) -> List[int]:
         kind = move[0]
+        try:
+            hash(move)
+        except TypeError:  # a crossing id that is a list or a dict
+            raise MoveError(f"bad {kind} parameters {move!r}") from None
         if kind in _REMOVALS[:2]:
             _, cid = move
             want = "classical" if kind == "r1_remove" else "virtual"

@@ -22,6 +22,24 @@ VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO4 = (0, 0, 0, 0)
 
 
+class _PowerText(dict):
+    """One variable's exponent -> the text of its power ("" for 0, "s",
+    "s^-2"), each filled on first use."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        super().__init__()
+        self.var = var
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
+        return text
+
+
+_POWER_TEXT = tuple(_PowerText(v) for v in VARS)
+
+
 class InexactDivision(ArithmeticError):
     """Raised when exact_div is asked for a quotient that does not exist."""
 
@@ -174,17 +192,13 @@ class LaurentPoly:
         (e_s, e_t, e_q, e_h)).  The unit is +/- a single monomial.
         canonicalize(0) = (0, 1).
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return LaurentPoly({}), LaurentPoly.one()
-        m = self.min_exps()
-        shifted = {
-            (e[0] - m[0], e[1] - m[1], e[2] - m[2], e[3] - m[3]): c
-            for e, c in self.terms.items()
-        }
-        sign = 1 if shifted[min(shifted)] > 0 else -1
-        if sign < 0:
-            shifted = {e: -c for e, c in shifted.items()}
-        return LaurentPoly(shifted), LaurentPoly({m: sign})
+        m = m0, m1, m2, m3 = self.min_exps()
+        sign = 1 if terms[min(terms)] > 0 else -1  # a shift keeps the order of tuples
+        return LaurentPoly({(e0 - m0, e1 - m1, e2 - m2, e3 - m3): sign * c
+                            for (e0, e1, e2, e3), c in terms.items()}), LaurentPoly({m: sign})
 
     def canonical(self) -> "LaurentPoly":
         return self.canonicalize()[0]
@@ -253,13 +267,11 @@ class LaurentPoly:
             return "0"
         pieces: List[str] = []
         terms = self.terms
+        ps, pt, pq, ph = _POWER_TEXT
         for e in sorted(terms):
             c = terms[e]
             es, et, eq, eh = e
-            mono = ((("s" if es == 1 else f"s^{es}") if es else "")
-                    + (("t" if et == 1 else f"t^{et}") if et else "")
-                    + (("q" if eq == 1 else f"q^{eq}") if eq else "")
-                    + (("h" if eh == 1 else f"h^{eh}") if eh else ""))
+            mono = ps[es] + pt[et] + pq[eq] + ph[eh]
             pieces.append((" + " if c > 0 else " - ")
                           + (mono if abs(c) == 1 and mono else f"{abs(c)}{mono}"))
         text = "".join(pieces)  # the first term's " + " or " - " becomes "" or "-"

@@ -1,5 +1,6 @@
-"""Pinned output of the `.gauss` path: what ``fixtures/golden_batch.jsonl``
-holds and how each of its lines is recomputed.
+"""Pinned output of the `.gauss` and `.vkd` paths: what
+``fixtures/golden_batch.jsonl`` and ``fixtures/golden_vkd.jsonl`` hold and
+how each of their lines is recomputed.
 
 The file has two kinds of JSON lines:
 
@@ -16,9 +17,18 @@ The file was written once, by
 
     PYTHONPATH=src python tests/golden_batch.py > fixtures/golden_batch.jsonl
 
-and holds the output of the source as it stood then.  A change that alters
-a line changes the program's output: it is not mended by writing the file
-again.
+and holds the output of the source as it stood then.
+
+``fixtures/golden_vkd.jsonl`` has one JSON line per code,
+``{"source": ..., "name": ..., "code": <code text>, "record": <record>}``:
+every code of the ``.vkd`` fixtures, named as ``compute`` names it, then
+``random_code_of_size(random.Random(seed), 60)`` for seeds 1, 3, 4 and 5
+(source ``"random"``, named ``random60[<seed>]``).  It was written once, by
+
+    PYTHONPATH=src python tests/golden_batch.py vkd > fixtures/golden_vkd.jsonl
+
+A change that alters a line of either file changes the program's output: it
+is not mended by writing the file again.
 """
 
 from __future__ import annotations
@@ -33,10 +43,12 @@ from pathlib import Path
 from typing import Iterator, List, Tuple
 
 from paritypoly import cli
+from paritypoly.diagram import DiagramCode, random_code_of_size
 from paritypoly.realize import gauss_lines, parse_gauss, realize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden_batch.jsonl"
+GOLDEN_VKD = FIXTURES / "golden_vkd.jsonl"
 
 
 def random_gauss_text(rng: random.Random, n: int) -> str:
@@ -83,6 +95,21 @@ def entries() -> List[dict]:
     return out
 
 
+def vkd_codes() -> Iterator[Tuple[str, str, DiagramCode]]:
+    """(source, name, code) of every pinned diagram code."""
+    for path in sorted(FIXTURES.glob("*.vkd")):
+        for name, code in cli.load_path(path):
+            yield path.name, name, code
+    for seed in (1, 3, 4, 5):
+        yield "random", f"random60[{seed}]", random_code_of_size(random.Random(seed), 60)
+
+
+def vkd_entry(source: str, name: str, code: DiagramCode) -> dict:
+    return {"source": source, "name": name, "code": code.to_text(),
+            "record": cli._record(name, code)}
+
+
 if __name__ == "__main__":
-    for entry in entries():
+    vkd = sys.argv[1:] == ["vkd"]
+    for entry in [vkd_entry(*c) for c in vkd_codes()] if vkd else entries():
         sys.stdout.write(json.dumps(entry, sort_keys=True) + "\n")

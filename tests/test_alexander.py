@@ -218,7 +218,8 @@ def test_fold_equals_the_unfolded_determinant_on_routed_codes():
     codes = _routed_codes()
     assert max(len(code.virtual_ids()) for code in codes) > 100
     for code in codes:
-        assert ax._det_A(code, roles(code)) == determinant(build_matrix_A(code)), code.to_text()
+        poly, unit = ax._det_A(code, roles(code))
+        assert poly * unit == determinant(build_matrix_A(code)), code.to_text()
 
 
 def test_folded_skein_triple_equals_the_unfolded_determinants_on_routed_codes():
@@ -456,16 +457,47 @@ def test_parity_alexander_makes_no_exact_div_calls(monkeypatch):
 
 def test_unit_pivots_cut_term_products(monkeypatch):
     """A fill-in guard: taking each unit pivot at the column the fewest live
-    rows hold (lowest position on a tie) keeps the multi-term products of
-    these codes well below the 61,943 term products that taking the lowest
-    unit column made."""
+    rows hold (lowest position on a tie) makes 37,968 products of terms of
+    multi-term factors on these codes, well below the 61,943 that taking
+    the lowest unit column made.  Every product of two multi-term factors,
+    into an empty or a live accumulator, passes through ``_add_product``."""
     products = []
-    mul = LaurentPoly.__mul__
-    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(
-        len(a.terms) * len(LaurentPoly._coerce(b).terms)) or mul(a, b))
+    add_product = ax._add_product
+    monkeypatch.setattr(ax, "_add_product", lambda acc, a, b, sign: products.append(
+        len(a) * len(b) if len(a) > 1 and len(b) > 1 else 0) or add_product(acc, a, b, sign))
     for code in _corpus50_and_dense_codes():
         parity_alexander(code)
-    assert 0 < sum(products) < 61_943
+    assert sum(products) == 37_968 < 61_943
+
+
+def test_add_product_equals_laurent_arithmetic():
+    """_add_product(acc, a, b, sign) with zeros dropped is acc + sign * a * b,
+    into an empty (None) or a live accumulator, with either factor the
+    smaller or a single term, down to a sum that cancels to nothing; the
+    factors are left as they were."""
+    rng = random.Random(25)
+
+    def poly(n):
+        return LaurentPoly({tuple(rng.randint(-2, 2) for _ in range(4)): rng.choice([1, -1, 2, -3])
+                            for _ in range(n)})
+
+    seen = set()
+    for _ in range(200):
+        a, b = poly(rng.choice([1, 2, 4, 9])), poly(rng.choice([1, 3, 6]))
+        sign = rng.choice([1, -1])
+        for x, y in ((a, b), (b, a)):
+            for acc in (None, poly(rng.randint(1, 12)), x * y * -sign):
+                factors = (dict(x.terms), dict(y.terms))
+                got = ax._drop_zeros(ax._add_product(
+                    None if acc is None else dict(acc.terms), x.terms, y.terms, sign))
+                assert got == ((ZERO if acc is None else acc) + x * y * sign).terms
+                assert (x.terms, y.terms) == factors
+                seen.add((acc is None, not got, sign, min(len(x.terms), 2), min(len(y.terms), 2),
+                          len(x.terms) > len(y.terms)))
+    for key in [(True, False, 1), (True, False, -1), (False, False, 1), (False, False, -1),
+                (False, True, 1), (False, True, -1)]:
+        for shape in [(1, 2, False), (2, 1, True), (2, 2, False), (2, 2, True)]:
+            assert key + shape in seen, key + shape
 
 
 def _snapshot(matrix):

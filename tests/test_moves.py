@@ -145,6 +145,11 @@ def test_move_preconditions():
     refused(code, ("r2_insert", "y", "u", "po+"),
             "bad r2_insert parameters ('r2_insert', 'y', 'u', 'po+')")
     refused(code, ("r2_insert", 9, "u", "po+"), "arc 9 out of range 1..4")  # arcs in order
+    # a crossing id that cannot be looked up; a hashable one is just absent
+    refused(code, ("r1_remove", [1]), "bad r1_remove parameters ('r1_remove', [1])")
+    refused(code, ("r2_remove", [1], 2), "bad r2_remove parameters ('r2_remove', [1], 2)")
+    refused(virtual, ("v2_remove", 1, {}), "bad v2_remove parameters ('v2_remove', 1, {})")
+    refused(code, ("r1_remove", "z"), "crossing z is not classical")
     refused(code, ("r3_insert", 1), "unknown move kind 'r3_insert'")
     refused(code, (["r1_remove"], 1), "unknown move kind ['r1_remove']")
     # one too short and one too long tuple per kind
