@@ -28,7 +28,8 @@ from .alexander import crossing_bounds, group_presentation, parity_alexander
 from .diagram import DiagramCode, DiagramError, parse_vkd
 from .laurent import InexactDivision
 from .realize import (
-    GaussError, RealizationError, gauss_lines, parse_gauss, parse_gauss_line, realize,
+    GaussError, RealizationError, SignedGaussCode, gauss_lines, parse_gauss, parse_gauss_line,
+    realize,
 )
 from .verify import SUITES, run_suite
 
@@ -51,10 +52,18 @@ def load_path(path: Path) -> List[Named]:
                 for i, (name, code) in enumerate(parse_vkd(text))]
     if path.suffix == ".gauss":
         # every line is parsed before any is realized
-        parsed = [(name or f"{path.stem}[{lineno}]", parse_gauss_line(lineno, body))
+        parsed = [(lineno, name or f"{path.stem}[{lineno}]", parse_gauss_line(lineno, body))
                   for lineno, name, body in gauss_lines(text)]
-        return [(name, realize(g)) for name, g in parsed]
+        return [(name, _realize_line(lineno, name, g)) for lineno, name, g in parsed]
     raise DiagramError(f"{path}: unknown input format (want .vkd or .gauss)")
+
+
+def _realize_line(lineno: int, name: str, g: SignedGaussCode) -> DiagramCode:
+    """realize, its error prefixed with the line number and the code's name."""
+    try:
+        return realize(g)
+    except RealizationError as exc:
+        raise RealizationError(f"line {lineno}: {name}: {exc}") from None
 
 
 def load_paths(paths: List[str]) -> List[Named]:

@@ -10,9 +10,14 @@ private horizontal bus and private vertical channels.  Every intersection
 between routed arcs away from the crossing sites becomes a virtual
 crossing, with its frame bit read off the two travel directions.
 
-One west-to-east sweep finds the K intersections of the S segments in
-O((S + K) log S) and gives each segment its hits in travel order, so the
-passes are read off in one loop over the segments.
+One crossing finder visits the horizontal segments in ascending y; each
+takes the verticals of its closed x range from one x-sorted list.  For S
+segments it costs O(S log S) plus the candidates in each horizontal's x
+range (every pair in the worst case, about six per crossing found on these
+routes).  It numbers each crossing where it finds it: a classical site
+gets its (O, U) passes, a virtual crossing the frame bits of its two
+passes.  Each segment's hits come out in travel order, so the passes are
+read off in one loop over the segments.
 
 All geometry is exact integer arithmetic.  The construction never tries to
 minimize virtual crossings; it only guarantees transversality: if any
@@ -23,8 +28,8 @@ stay), realization fails loudly rather than mis-setting a frame bit.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .diagram import (
     EMPTY_CODE, OVER, UNDER, VIRTUAL, DiagramCode, Pass, classical_gauss_code,
@@ -65,6 +70,8 @@ def validate_gauss(g: SignedGaussCode) -> None:
     for cid, kind, sign in g:
         if cid < 1:
             raise GaussError(f"crossing {cid}: id must be a positive integer")
+        if sign not in (1, -1):
+            raise GaussError(f"crossing {cid}: sign must be +1 or -1, not {sign!r}")
         seen.setdefault(cid, {})
         if kind in seen[cid]:
             raise GaussError(f"crossing {cid}: duplicate {kind} pass")
@@ -101,14 +108,6 @@ def parse_gauss_line(lineno: int, line: str) -> SignedGaussCode:
 def parse_gauss_file(text: str) -> List[Tuple[Optional[str], SignedGaussCode]]:
     """One code per line, as split by gauss_lines."""
     return [(name, parse_gauss_line(lineno, line)) for lineno, name, line in gauss_lines(text)]
-
-
-def frame_sign(dir_a: Tuple[int, int], dir_b: Tuple[int, int]) -> int:
-    """+1 iff (dir_a, dir_b) is a positively oriented plane frame."""
-    det = dir_a[0] * dir_b[1] - dir_a[1] * dir_b[0]
-    if det == 0:
-        raise RealizationError(f"parallel directions {dir_a}, {dir_b}")
-    return 1 if det > 0 else -1
 
 
 # -- routing ------------------------------------------------------------------
@@ -179,70 +178,74 @@ def _segments(verts: List[Point]) -> List[Tuple[Point, Point]]:
     return segs
 
 
-def _intersections(segs: List[Tuple[Point, Point]]) -> List[List[Point]]:
-    """Each segment's strict-interior crossings, in its travel order.
+def _crossings(segs: List[Tuple[Point, Point]],
+               sites: Dict[int, Tuple[int, int]],
+               ) -> Tuple[List[List[int]], List[Union[Pass, bool]]]:
+    """Number the strict crossings of segs and list each segment's in travel order.
 
-    A horizontal segment is in the y-sorted active list from its west end
-    to its east end; each vertical one asks for those in its closed y
-    range.  At equal x, opens come before queries and queries before
-    closes, so every touching pair is found.  A touch other than a strict
-    crossing (overlap, T-junction, kiss) raises unless the two segments are
-    adjacent and meet at their shared end.
+    Crossing c has two pass slots, 2c on its horizontal segment and 2c + 1
+    on its vertical one; hits[i] holds segment i's slots.  slots[2c] and
+    slots[2c + 1] are the (O, U) passes when c is a classical site, which
+    sites gives as x -> (id, sign) on the x-axis.  Otherwise they are the
+    frame bits of a virtual crossing: the horizontal pass has the bit iff
+    (its direction, the vertical's) is a positive frame, i.e. iff the two
+    directions have the same sign, and the vertical pass has the other bit.
+
+    The horizontals are visited in ascending y, and each takes the verticals
+    of its closed x range from one x-sorted list, so every touching pair is
+    found and each hit list comes out in ascending coordinate.  A touch other
+    than a strict crossing (overlap, T-junction, kiss) raises unless the two
+    segments are adjacent and meet at their shared end.
     """
     m = len(segs)
-
-    def adjacent(i: int, j: int) -> bool:
-        return (i + 1) % m == j or (j + 1) % m == i
-
-    span: List[Tuple[int, int, int]] = []  # (lo, hi, line): extent along the segment's line
-    events: List[Tuple[int, int, int]] = []  # (x, 0 open / 1 query / 2 close, segment)
-    lines: List[Tuple[int, int, int, int, int]] = []  # (axis, line, lo, hi, segment)
+    horiz: List[Tuple[int, int, int, int, int]] = []  # (y, x lo, x hi, segment, x direction)
+    vert: List[Tuple[int, int, int, int, int]] = []  # (x, y lo, y hi, segment, y direction)
     for i, ((ax, ay), (bx, by)) in enumerate(segs):
-        if ay == by:  # horizontal: axis 0
-            lo, hi = (ax, bx) if ax < bx else (bx, ax)
-            span.append((lo, hi, ay))
-            lines.append((0, ay, lo, hi, i))
-            events.append((lo, 0, i))
-            events.append((hi, 2, i))
+        if ay == by:
+            horiz.append((ay, ax, bx, i, 1) if ax < bx else (ay, bx, ax, i, -1))
         else:
-            lo, hi = (ay, by) if ay < by else (by, ay)
-            span.append((lo, hi, ax))
-            lines.append((1, ax, lo, hi, i))
-            events.append((ax, 1, i))
-    events.sort()
+            vert.append((ax, ay, by, i, 1) if ay < by else (ax, by, ay, i, -1))
+    horiz.sort()
+    vert.sort()
+    xs = [v[0] for v in vert]
 
-    hits: List[List[Point]] = [[] for _ in segs]
-    active: List[Tuple[int, int]] = []  # (y, segment) of the open horizontals
-    crossed = set()
-    for x, kind, i in events:
-        if kind == 1:
-            y1, y2, _x = span[i]
-            for y, h in active[bisect_left(active, (y1, -1)):bisect_right(active, (y2, m))]:
-                x1, x2, _y = span[h]
-                if not (x1 < x < x2 and y1 < y < y2):
-                    if adjacent(h, i):
-                        continue
-                    raise RealizationError(
-                        f"segments #{h}, #{i} touch non-transversally at {(x, y)}")
-                p = (x, y)
-                if p in crossed:
-                    raise RealizationError(f"three segments meet at {p}")
-                crossed.add(p)
-                hits[h].append(p)
-                hits[i].append(p)
-        elif kind == 0:
-            insort(active, (span[i][2], i))
-        else:
-            del active[bisect_left(active, (span[i][2], i))]
-    lines.sort()
-    for (axis1, c1, _lo1, hi1, i1), (axis2, c2, lo2, _hi2, i2) in zip(lines, lines[1:]):
-        if axis1 == axis2 and c1 == c2 and (lo2 < hi1 or (lo2 == hi1 and not adjacent(i1, i2))):
-            raise RealizationError(
-                f"collinear segments touch on {'yx'[axis1]}={c1}: #{i1}, #{i2}")
-    for (a, b), seg_hits in zip(segs, hits):
+    hits: List[List[int]] = [[] for _ in segs]
+    slots: List[Union[Pass, bool]] = []
+    last_y: List[Optional[int]] = [None] * m  # y of each vertical's latest crossing
+    for y, x1, x2, h, dh in horiz:
+        row = hits[h]
+        last_x = None
+        for x, y1, y2, v, dv in vert[bisect_left(xs, x1):bisect_right(xs, x2)]:
+            if not y1 <= y <= y2:
+                continue
+            if not (x1 < x < x2 and y1 < y < y2):
+                if abs(h - v) in (1, m - 1):  # adjacent: the shared end
+                    continue
+                raise RealizationError(
+                    f"segments #{h}, #{v} touch non-transversally at {(x, y)}")
+            if x == last_x or y == last_y[v]:
+                raise RealizationError(f"three segments meet at {(x, y)}")
+            last_x, last_y[v] = x, y
+            c = len(slots)
+            row.append(c)
+            hits[v].append(c + 1)
+            if y == 0 and x in sites:
+                cid, sign = sites[x]
+                # the over pass runs east, the under pass north for +, south for -
+                if dv != sign:
+                    raise RealizationError(f"geometric sign mismatch at crossing {cid}")
+                slots += (Pass(cid, OVER), Pass(cid, UNDER))
+            else:
+                slots += (dh == dv, dh != dv)
+    # collinear touches last, so that three segments through one point say so
+    for axis, lines in (("y", horiz), ("x", vert)):
+        for (c1, _lo1, hi1, i1, _d1), (c2, lo2, _hi2, i2, _d2) in zip(lines, lines[1:]):
+            if c1 == c2 and (lo2 < hi1 or (lo2 == hi1 and abs(i1 - i2) not in (1, m - 1))):
+                raise RealizationError(f"collinear segments touch on {axis}={c1}: #{i1}, #{i2}")
+    for (a, b), row in zip(segs, hits):
         if b < a:  # travels west or south
-            seg_hits.reverse()
-    return hits
+            row.reverse()
+    return hits, slots
 
 
 def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
@@ -254,55 +257,34 @@ def realize(g: SignedGaussCode, strategy: int = 0) -> DiagramCode:
     direction, followed by the other pass's direction, is a positive frame.
     Virtual ids run on from the largest classical id in first-visit order.
     Two strategies (0 and 1) allocate routing channels in opposite orders
-    and generally produce different diagrams of the same knot.
+    and generally produce different diagrams of the same knot; any other
+    strategy raises ValueError.
     """
     validate_gauss(g)
+    if strategy not in (0, 1):
+        raise ValueError(f"strategy must be 0 or 1, not {strategy!r}")
     if not g:
         return EMPTY_CODE
     m = len(g)
     perm = list(range(m)) if strategy == 0 else list(reversed(range(m)))
     # crossing sites on the x-axis, 100 apart, in order of first appearance
     x_of = {cid: 100 * (i + 1) for i, cid in enumerate(dict.fromkeys(c for c, _k, _s in g))}
-    segs = _segments(_route_vertices(g, perm, x_of))
-    center_of = {(x, 0): cid for cid, x in x_of.items()}
     sign_of = {cid: s for cid, _k, s in g}
+    segs = _segments(_route_vertices(g, perm, x_of))
+    hits, slots = _crossings(segs, {x_of[cid]: (cid, s) for cid, s in sign_of.items()})
 
-    final: List[Optional[Pass]] = []
+    final: List[Pass] = []
     next_vid = max(x_of) + 1
-    # virtual point -> (pass index, direction, id) of its first visit; None after the second
-    first: Dict[Point, Optional[Tuple[int, Tuple[int, int], int]]] = {}
-    for (a, b), seg_hits in zip(segs, _intersections(segs)):
-        dx, dy = (b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1])
-        d = (dx, dy)
-        classical_kind = OVER if dy == 0 else UNDER
-        for p in seg_hits:
-            cid = center_of.get(p)
-            if cid is not None:
-                # classical sign sanity: over runs east, under runs north for +, south for -,
-                # so the frame (east, d) of an under pass has the sign dy
-                if dy and dy != sign_of[cid]:
-                    raise RealizationError(f"geometric sign mismatch at crossing {cid}")
-                final.append(Pass(cid, classical_kind))
-                continue
-            visit = first.get(p, 0)  # 0: not visited yet
-            if visit == 0:
-                first[p] = (len(final), d, next_vid)
-                final.append(None)  # filled in at the second visit, which fixes the frame bit
+    for row in hits:
+        for h in row:
+            p = slots[h]
+            if isinstance(p, bool):  # first visit of a virtual crossing: number both passes
+                p = Pass(next_vid, VIRTUAL, p)
+                slots[h ^ 1] = Pass(next_vid, VIRTUAL, slots[h ^ 1])
                 next_vid += 1
-            elif visit is None:
-                raise RealizationError("virtual crossing visited other than twice")
-            else:
-                j, d1, vid = visit
-                first[p] = None
-                det = d1[0] * dy - d1[1] * dx  # frame_sign(d1, d), inlined
-                if det == 0:
-                    raise RealizationError(f"parallel directions {d1}, {d}")
-                final[j] = Pass(vid, VIRTUAL, det > 0)
-                final.append(Pass(vid, VIRTUAL, det < 0))
-    if any(visit is not None for visit in first.values()):
-        raise RealizationError("virtual crossing visited other than twice")
+            final.append(p)
 
-    code = DiagramCode(tuple(final), dict(sign_of))
+    code = DiagramCode(tuple(final), sign_of)
     if classical_gauss_code(code) != tuple(g):
         raise RealizationError("classical projection does not reproduce the input code")
     return code

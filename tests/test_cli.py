@@ -199,10 +199,17 @@ def test_main_names_realization_errors(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "realize", realize)
     table = tmp_path / "table.gauss"
-    table.write_text("O1+U1+\n")
-    rc, out, err = run(capsys, "compute", table)
-    assert rc == 2 and out == ""
-    assert err == "internal realization error: no routing for this code\n"
+    table.write_text("# table\nO1+U1+\n")
+    named = tmp_path / "named.gauss"
+    named.write_text("\n\nstuck\tO1-U1-\n")
+    for command, path, where in [("compute", table, "line 2: table[2]"),
+                                 ("bounds", named, "line 3: stuck"),
+                                 ("presentation", table, "line 2: table[2]"),
+                                 ("verify", named, "line 3: stuck")]:
+        args = ("verify", "skein", path) if command == "verify" else (command, path)
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and out == ""
+        assert err == f"internal realization error: {where}: no routing for this code\n"
 
 
 def test_main_names_arithmetic_errors(capsys, monkeypatch):

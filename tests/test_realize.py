@@ -1,14 +1,17 @@
 """Planar realization of signed Gauss codes."""
 
+import itertools
 import random
 
 import pytest
 
 from paritypoly.alexander import parity_alexander
-from paritypoly.diagram import classical_gauss_code, validate
+from paritypoly.diagram import (
+    OVER, UNDER, VIRTUAL, DiagramCode, Pass, classical_gauss_code, validate,
+)
 from paritypoly.realize import (
-    GaussError, RealizationError, _intersections, _route_vertices, _segments,
-    frame_sign, parse_gauss, parse_gauss_file, realize,
+    GaussError, RealizationError, _crossings, _route_vertices, _segments,
+    parse_gauss, parse_gauss_file, realize,
 )
 
 
@@ -56,11 +59,17 @@ def test_parse_gauss_file():
     assert entries[2] == ("unknot", ())  # a named empty code
 
 
-def test_frame_sign():
-    assert frame_sign((1, 0), (0, 1)) == 1
-    assert frame_sign((0, 1), (1, 0)) == -1
-    with pytest.raises(RealizationError):
-        frame_sign((1, 0), (-1, 0))
+@pytest.mark.parametrize("sign", [2, 0, -2])
+def test_gauss_signs_are_plus_or_minus_one(sign):
+    g = ((1, "O", sign), (1, "U", sign))
+    with pytest.raises(GaussError, match=f"crossing 1: sign must be \\+1 or -1, not {sign}"):
+        realize(g)
+
+
+@pytest.mark.parametrize("strategy", [7, -1, 2, None, "0"])
+def test_realize_strategy_is_0_or_1(strategy):
+    with pytest.raises(ValueError, match="strategy must be 0 or 1"):
+        realize(parse_gauss("O1+U1+"), strategy=strategy)
 
 
 def test_realize_empty():
@@ -177,8 +186,8 @@ def routed_segments(g, strategy):
 def all_pairs_intersections(segs):
     """Reference crossing search: every horizontal against every vertical.
 
-    Returns each segment's strict crossings in travel order, as the sweep
-    does, and raises on the same degeneracies.
+    Returns each segment's strict crossings, as points, in travel order,
+    and raises on the same degeneracies as the crossing finder.
     """
     m = len(segs)
     horiz = []
@@ -227,13 +236,105 @@ def all_pairs_intersections(segs):
     return hits
 
 
-def test_sweep_equals_all_pairs_scan():
+def travel(seg):
+    """The unit direction of a segment."""
+    (ax, ay), (bx, by) = seg
+    return (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+
+
+def found_points(segs):
+    """The crossing finder's hits as points, after checking that crossing c
+    has its slot 2c on one horizontal and its slot 2c + 1 on one vertical."""
+    hits, slots = _crossings(segs, {})
+    seg_of = {h: i for i, row in enumerate(hits) for h in row}
+    assert sorted(seg_of) == list(range(len(slots))) == sorted(h for row in hits for h in row)
+
+    def point(c):
+        (_hx, hy), (_hx2, hy2) = segs[seg_of[2 * c]]
+        (vx, _vy), (vx2, _vy2) = segs[seg_of[2 * c + 1]]
+        assert hy == hy2 and vx == vx2
+        return vx, hy
+
+    return [[point(h >> 1) for h in row] for row in hits]
+
+
+def reference_realize(g, strategy):
+    """Reference realization: a pass loop over the all-pairs hits, keyed by
+    point, that fixes a virtual crossing's frame bits at its second visit
+    from the 2x2 determinant of the two travel directions."""
+    segs = routed_segments(g, strategy)
+    x_of = {cid: 100 * (i + 1) for i, cid in enumerate(dict.fromkeys(c for c, _k, _s in g))}
+    center_of = {(x, 0): cid for cid, x in x_of.items()}
+    final, first, next_vid = [], {}, max(x_of) + 1
+    for seg, seg_hits in zip(segs, all_pairs_intersections(segs)):
+        dx, dy = travel(seg)
+        for p in seg_hits:
+            if p in center_of:
+                final.append(Pass(center_of[p], OVER if dy == 0 else UNDER))
+            elif p not in first:
+                first[p] = (len(final), (dx, dy), next_vid)
+                final.append(None)
+                next_vid += 1
+            else:
+                j, (ex, ey), vid = first.pop(p)
+                det = ex * dy - ey * dx
+                assert det != 0
+                final[j] = Pass(vid, VIRTUAL, det > 0)
+                final.append(Pass(vid, VIRTUAL, det < 0))
+    assert not first
+    return DiagramCode(tuple(final), {cid: s for cid, _k, s in g})
+
+
+def all_gauss_codes(n):
+    """Every signed Gauss code on the crossing ids 1..n."""
+    entries = [(cid, kind) for cid in range(1, n + 1) for kind in "OU"]
+    for order in itertools.permutations(entries):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple((cid, kind, signs[cid - 1]) for cid, kind in order)
+
+
+def test_crossing_finder_equals_all_pairs_scan():
     rng = random.Random(19)
     for _ in range(60):
         g = random_gauss(rng, max_crossings=30)
         for strategy in (0, 1):
             segs = routed_segments(g, strategy)
-            assert _intersections(segs) == all_pairs_intersections(segs), g
+            assert found_points(segs) == all_pairs_intersections(segs), g
+
+
+def test_realize_equals_the_reference_realization():
+    codes = [g for n in (1, 2, 3) for g in all_gauss_codes(n)]
+    assert len(codes) == 2 * 2 + 24 * 4 + 720 * 8
+    rng = random.Random(26)
+    codes += [random_gauss(rng, max_crossings=40, min_crossings=4) for _ in range(100)]
+    for g in codes:
+        for strategy in (0, 1):
+            assert realize(g, strategy) == reference_realize(g, strategy), (g, strategy)
+
+
+def test_frame_bits_are_the_determinant_of_the_travel_directions():
+    # a virtual pass has the frame bit iff its direction, followed by the
+    # other pass's direction, is a positive frame
+    rng = random.Random(7)
+    for _ in range(30):
+        g = random_gauss(rng, max_crossings=12)
+        for strategy in (0, 1):
+            segs = routed_segments(g, strategy)
+            visits = [(p, travel(seg))
+                      for seg, seg_hits in zip(segs, all_pairs_intersections(segs))
+                      for p in seg_hits]
+            code = realize(g, strategy)
+            assert len(visits) == len(code.passes)
+            at = {}
+            for (p, d), ps in zip(visits, code.passes):
+                at.setdefault(p, []).append((d, ps))
+            for ((d1, p1), (d2, p2)) in at.values():
+                assert p1.cid == p2.cid
+                if p1.kind == VIRTUAL:
+                    det = d1[0] * d2[1] - d1[1] * d2[0]
+                    assert (p1.frame, p2.frame) == (det > 0, det < 0)
+                else:
+                    assert {p1.kind, p2.kind} == {OVER, UNDER}
 
 
 # Hand-built segment lists.  Far-away verticals pad each list, so that the
@@ -257,20 +358,36 @@ PAD = [((1000 * k, 1000), (1000 * k, 1100)) for k in (1, 2, 3)]
 ])
 def test_crossing_search_degeneracies_raise(segs, message):
     with pytest.raises(RealizationError, match=message):
-        _intersections(segs)
+        _crossings(segs, {})
     with pytest.raises(RealizationError):
         all_pairs_intersections(segs)
+
+
+def test_three_segments_meet_whichever_pair_is_collinear():
+    # two verticals through one horizontal, and two horizontals through one vertical
+    verticals = [((0, 0), (10, 0)), PAD[0], ((5, -5), (5, 5)), PAD[1], ((5, -3), (5, 3)), PAD[2]]
+    horizontals = [((5, -5), (5, 5)), PAD[0], ((0, 0), (10, 0)), PAD[1], ((2, 0), (8, 0)), PAD[2]]
+    for segs in (verticals, horizontals):
+        with pytest.raises(RealizationError, match=r"three segments meet at \(5, 0\)"):
+            _crossings(segs, {})
 
 
 def test_crossing_search_allows_adjacent_corners():
     # a closed square: each corner is the shared end of adjacent segments
     square = [((0, 0), (10, 0)), ((10, 0), (10, 10)), ((10, 10), (0, 10)), ((0, 10), (0, 0))]
-    assert _intersections(square) == [[], [], [], []]
+    assert _crossings(square, {}) == ([[], [], [], []], [])
     # a straight run split in two adjacent pieces
     run = [((0, 0), (5, 0)), ((5, 0), (10, 0)), ((10, 0), (10, 5)), ((10, 5), (0, 5)),
            ((0, 5), (0, 0))]
-    assert _intersections(run) == [[]] * 5
-    # a loop that crosses itself once: the hit comes back on both segments
+    assert _crossings(run, {}) == ([[]] * 5, [])
+    # a loop that crosses itself once: the hit comes back on both segments,
+    # east over south, so the horizontal pass has no frame bit
     loop = [((0, 0), (10, 0)), ((10, 0), (10, 5)), ((10, 5), (5, 5)),
             ((5, 5), (5, -5)), ((5, -5), (0, -5)), ((0, -5), (0, 0))]
-    assert _intersections(loop) == [[(5, 0)], [], [], [(5, 0)], [], []]
+    assert _crossings(loop, {}) == ([[0], [], [], [1], [], []], [False, True])
+    # the same loop with a classical site at its crossing: over pass east,
+    # under pass south, so the site's sign must be -1
+    assert _crossings(loop, {5: (1, -1)}) == \
+        ([[0], [], [], [1], [], []], [Pass(1, OVER), Pass(1, UNDER)])
+    with pytest.raises(RealizationError, match="geometric sign mismatch at crossing 1"):
+        _crossings(loop, {5: (1, 1)})
