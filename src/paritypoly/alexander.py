@@ -64,8 +64,9 @@ every even crossing even.
 the fewest rows hold), then expands the small unit-free core that is left
 by a memoized Laplace expansion, and returns the core's determinant and
 the pivots' signed monomial apart, so that ``parity_alexander`` shifts the
-terms once, to canonical form.  ``gcd_of_minors`` reads its minors off the
-same expansion.
+terms once, to canonical form.  Both phases take every term product from
+``laurent.add_product``, the one multiply-accumulate.  ``gcd_of_minors``
+reads its minors off the same expansion.
 
 1 - st divides det(A) for every nonempty code.  Along the knot, z
 continues the y strand and w the x strand; at t = s^-1 every row of
@@ -133,7 +134,8 @@ from .diagram import (
     switch_crossing,  # re-exported: the odd-switch checks import it from here
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
-from .laurent import H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, LaurentPoly
+from .laurent import (H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, LaurentPoly,
+                      Terms, add_product, drop_zeros)
 
 ColKey = object  # arc index (int) or one of "s", "q", "h"
 
@@ -368,48 +370,6 @@ def fold_roles(role_map: Dict[int, Role], n: int) -> Tuple[List[Crossing], int]:
 # -- exact determinants --------------------------------------------------------
 
 
-Terms = Dict[Exps, int]  # the terms of a LaurentPoly
-
-
-def _add_product(acc: Optional[Terms], a: Terms, b: Terms, sign: int) -> Terms:
-    """acc + sign * a * b on term dicts; cancelled terms stay as zeros for
-    the caller to drop.  Into an empty accumulator (acc None) the product
-    goes to a fresh dict: a single-term factor shifts the other factor, and
-    two multi-term factors make one ``LaurentPoly.__mul__`` call, the sign
-    on the smaller one.  Into a nonempty acc every term product is added in
-    place, the smaller factor in the outer loop, with no temporary dict."""
-    if len(a) == 1 or len(b) == 1:
-        if len(a) == 1:
-            a, b = b, a
-        (((d0, d1, d2, d3), c),) = b.items()
-        sign *= c
-        if acc is None:
-            return {(e0 + d0, e1 + d1, e2 + d2, e3 + d3): sign * c
-                    for (e0, e1, e2, e3), c in a.items()}
-        get = acc.get
-        for (e0, e1, e2, e3), c in a.items():
-            e = (e0 + d0, e1 + d1, e2 + d2, e3 + d3)
-            acc[e] = get(e, 0) + sign * c
-        return acc
-    if len(a) > len(b):
-        a, b = b, a
-    if acc is None:
-        return (LaurentPoly(a if sign > 0 else {e: -c for e, c in a.items()})
-                * LaurentPoly(b)).terms
-    get = acc.get
-    right = b.items()
-    for (a0, a1, a2, a3), ca in a.items():
-        ca *= sign
-        for (b0, b1, b2, b3), cb in right:
-            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            acc[e] = get(e, 0) + ca * cb
-    return acc
-
-
-def _drop_zeros(acc: Terms) -> Terms:
-    return {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
-
-
 def _permutation_sign(perm: List[int]) -> int:
     """+1 or -1: the parity of perm, a permutation of range(len(perm))."""
     seen = [False] * len(perm)
@@ -446,10 +406,11 @@ def _det_parts(matrix: AlexanderMatrix) -> Tuple[LaurentPoly, LaurentPoly]:
     row), re-queued when a pivot changes them; stale entries are skipped.
     A column -> rows index confines each step to the rows holding the pivot
     column.  Work rows map column position -> a copy of the entry's term
-    dict.  The products of an elimination step, factor times pivot-row
-    entry, go through ``_add_product`` into the other row's entry in place,
-    or into a fresh dict where that row had none; the Laplace products go
-    into the core's growing minors.  The pivots themselves are never
+    dict.  Every term product goes through ``laurent.add_product``: an
+    elimination step adds factor times pivot-row entry into the other row's
+    entry (a fresh dict where that row had none), drops the zeros, and
+    stores the entry or deletes it if nothing is left; the Laplace products
+    go into the core's growing minors.  The pivots themselves are never
     multiplied into anything: their exponents are summed into the unit's,
     and their signs times the parity of the row -> column matching (each
     pivot row to its column, the core rows to the core columns in order)
@@ -493,19 +454,13 @@ def _det_parts(matrix: AlexanderMatrix) -> Tuple[LaurentPoly, LaurentPoly]:
         # row_k -= (row_k[col] / pivot) * row_i, with the pivot a signed monomial
         for k in holders.pop(col):
             other = work[k]
-            factor = other.pop(col)
-            if e0 or e1 or e2 or e3 or sign > 0:  # else the pivot is -1: factor as is
-                factor = {(f0 - e0, f1 - e1, f2 - e2, f3 - e3): -sign * c
-                          for (f0, f1, f2, f3), c in factor.items()}
+            factor = {(f0 - e0, f1 - e1, f2 - e2, f3 - e3): -sign * c
+                      for (f0, f1, f2, f3), c in other.pop(col).items()}
             for j, v in row.items():
-                cur = other.get(j)
-                if cur is None:
-                    other[j] = _add_product(None, factor, v, 1)
-                    holders[j].add(k)
-                    continue
-                cur = _drop_zeros(_add_product(cur, factor, v, 1))
+                cur = drop_zeros(add_product(other.get(j), factor, v, 1))
                 if cur:
                     other[j] = cur
+                    holders[j].add(k)
                 else:
                     del other[j]
                     holders[j].discard(k)
@@ -544,8 +499,8 @@ def _laplace(m: Sequence[Sequence[Optional[Terms]]]) -> Dict[int, Terms]:
                     continue
                 # the entry's sign in the larger minor: -1 per column left of it
                 sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-                grown[mask | bit] = _add_product(grown.get(mask | bit), v, minor, sign)
-        kept = zip(grown, map(_drop_zeros, grown.values()))
+                grown[mask | bit] = add_product(grown.get(mask | bit), v, minor, sign)
+        kept = zip(grown, map(drop_zeros, grown.values()))
         minors = {mask: acc for mask, acc in kept if acc}
     return minors
 

@@ -38,7 +38,8 @@ Named = Tuple[str, DiagramCode]
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        # drop a byte-order mark (utf-8-sig would give error offsets 3 bytes short)
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DiagramError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -6,15 +6,19 @@ coefficients are arbitrary-precision ints.  The variable written ``h``
 in code and in all machine output is the theta variable of the invariant;
 plain ASCII is used everywhere.
 
+``add_product`` is the package's one multiply-accumulate on term dicts:
+``LaurentPoly.__mul__`` and ``alexander``'s determinant kernel use it.
+
 Everything here is exact.  There is no floating point and no modular
 shortcut anywhere in this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Exps = Tuple[int, int, int, int]
+Terms = Dict[Exps, int]  # the terms of a LaurentPoly
 
 VARS = ("s", "t", "q", "h")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -38,6 +42,30 @@ class _PowerText(dict):
 
 
 _POWER_TEXT = tuple(_PowerText(v) for v in VARS)
+
+
+def add_product(acc: Optional[Terms], a: Terms, b: Terms, sign: int) -> Terms:
+    """acc + sign * a * b, added in place into acc, or into a fresh dict
+    when acc is None; the factors are left as they are.  The smaller factor
+    runs in the outer loop.  Cancelled terms stay as zeros for the caller
+    to drop (``drop_zeros``)."""
+    if acc is None:
+        acc = {}
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    right = b.items()
+    for (a0, a1, a2, a3), ca in a.items():
+        ca *= sign
+        for (b0, b1, b2, b3), cb in right:
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            acc[e] = get(e, 0) + ca * cb
+    return acc
+
+
+def drop_zeros(terms: Terms) -> Terms:
+    """terms without its zero coefficients (terms itself if it has none)."""
+    return {e: c for e, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 class InexactDivision(ArithmeticError):
@@ -136,17 +164,7 @@ class LaurentPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        out: Dict[Exps, int] = {}
-        get = out.get
-        right = other.terms.items()
-        for (a0, a1, a2, a3), c1 in self.terms.items():
-            for (b0, b1, b2, b3), c2 in right:
-                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                out[e] = get(e, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return LaurentPoly(out)
+        return LaurentPoly(drop_zeros(add_product(None, self.terms, self._coerce(other).terms, 1)))
 
     __rmul__ = __mul__
 
@@ -170,12 +188,6 @@ class LaurentPoly:
             return False
         return abs(next(iter(self.terms.values()))) == 1
 
-    def min_exps(self) -> Exps:
-        """Componentwise minimum exponent over all stored monomials."""
-        if len(self.terms) < 2:  # most calls come from one-term units; zero gives _ZERO4
-            return next(iter(self.terms), _ZERO4)
-        return tuple(map(min, zip(*self.terms)))  # type: ignore[return-value]
-
     def shift(self, de: Exps, sign: int = 1) -> "LaurentPoly":
         """Multiply by sign * s^de0 t^de1 q^de2 h^de3."""
         return LaurentPoly({
@@ -195,7 +207,7 @@ class LaurentPoly:
         terms = self.terms
         if not terms:
             return LaurentPoly({}), LaurentPoly.one()
-        m = m0, m1, m2, m3 = self.min_exps()
+        m = m0, m1, m2, m3 = tuple(map(min, zip(*terms)))
         sign = 1 if terms[min(terms)] > 0 else -1  # a shift keeps the order of tuples
         return LaurentPoly({(e0 - m0, e1 - m1, e2 - m2, e3 - m3): sign * c
                             for (e0, e1, e2, e3), c in terms.items()}), LaurentPoly({m: sign})

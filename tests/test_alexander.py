@@ -20,7 +20,7 @@ from paritypoly.diagram import (
     apply_move, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
     removal_sites, roles,
 )
-from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO
+from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO, add_product, drop_zeros
 from paritypoly.realize import parse_gauss, parse_gauss_file, realize
 from paritypoly.verify import enumerate_small_codes, suite_prop1
 
@@ -460,21 +460,44 @@ def test_unit_pivots_cut_term_products(monkeypatch):
     rows hold (lowest position on a tie) makes 37,968 products of terms of
     multi-term factors on these codes, well below the 61,943 that taking
     the lowest unit column made.  Every product of two multi-term factors,
-    into an empty or a live accumulator, passes through ``_add_product``."""
+    into an empty or a live accumulator, passes through ``add_product``,
+    which the kernel calls by its name in ``alexander``."""
     products = []
-    add_product = ax._add_product
-    monkeypatch.setattr(ax, "_add_product", lambda acc, a, b, sign: products.append(
+    add_product = ax.add_product
+    monkeypatch.setattr(ax, "add_product", lambda acc, a, b, sign: products.append(
         len(a) * len(b) if len(a) > 1 and len(b) > 1 else 0) or add_product(acc, a, b, sign))
     for code in _corpus50_and_dense_codes():
         parity_alexander(code)
     assert sum(products) == 37_968 < 61_943
 
 
+def test_core_holds_no_stored_zero(monkeypatch):
+    """A fill product can cancel inside, as (1 - q)(1 + q) does in the first
+    pivot of the matrix below; its zeros are dropped, so no entry handed to
+    ``_laplace`` stores a zero coefficient (a stored zero would hide a unit
+    from the pivot search)."""
+    cores = []
+    laplace = ax._laplace
+    monkeypatch.setattr(ax, "_laplace", lambda m: cores.append(m) or laplace(m))
+    matrix = AlexanderMatrix([{0: -ONE, 1: 1 + Q, 2: 2 + S}, {0: 1 - Q, 2: 3 + T},
+                              {1: 2 + T, 2: 1 + S * T}], ["a", "b", "c"], [0, 1, 2])
+    assert determinant(matrix) == determinant_cofactor(matrix)
+    assert cores[0] == [
+        [(1 - Q * Q).terms, ((1 - Q) * (2 + S) + 3 + T).terms], [(2 + T).terms, (1 + S * T).terms]]
+    for code in _corpus50_and_dense_codes():
+        parity_alexander(code)
+    assert len(cores) > 1
+    for m in cores:
+        for row in m:
+            for v in row:
+                assert v is None or 0 not in v.values()
+
+
 def test_add_product_equals_laurent_arithmetic():
-    """_add_product(acc, a, b, sign) with zeros dropped is acc + sign * a * b,
+    """add_product(acc, a, b, sign) with zeros dropped is acc + sign * a * b,
     into an empty (None) or a live accumulator, with either factor the
-    smaller or a single term, down to a sum that cancels to nothing; the
-    factors are left as they were."""
+    smaller or a single term (no branch of its own), down to a sum that
+    cancels to nothing; the factors are left as they were."""
     rng = random.Random(25)
 
     def poly(n):
@@ -488,7 +511,7 @@ def test_add_product_equals_laurent_arithmetic():
         for x, y in ((a, b), (b, a)):
             for acc in (None, poly(rng.randint(1, 12)), x * y * -sign):
                 factors = (dict(x.terms), dict(y.terms))
-                got = ax._drop_zeros(ax._add_product(
+                got = drop_zeros(add_product(
                     None if acc is None else dict(acc.terms), x.terms, y.terms, sign))
                 assert got == ((ZERO if acc is None else acc) + x * y * sign).terms
                 assert (x.terms, y.terms) == factors

@@ -140,6 +140,30 @@ def test_non_utf8_input_is_an_error(capsys, tmp_path):
     assert err.startswith(f"error: {f}: not UTF-8 text")
 
 
+def test_byte_order_mark_is_skipped(capsys, tmp_path):
+    """A UTF-8 file may open with a byte-order mark: compute and batch give
+    the same bytes and exit code as on the file without one, whether its
+    first line is a comment or a code."""
+    for fixture in ("triangle_moves.vkd", "table_knots.gauss"):
+        text = (FIXTURES / fixture).read_text(encoding="utf-8")
+        codes_only = "".join(line for line in text.splitlines(keepends=True)
+                             if not line.startswith("#"))
+        for i, body in enumerate((text, codes_only)):
+            seen = []
+            for mark in (b"", b"\xef\xbb\xbf"):
+                f = tmp_path / f"{i}{len(mark)}" / fixture
+                f.parent.mkdir(exist_ok=True)
+                f.write_bytes(mark + body.encode("utf-8"))
+                seen.append([run(capsys, *argv, f) for argv in
+                             (["compute"], ["compute", "--json"], ["batch"])])
+            assert seen[0] == seen[1], fixture
+            assert "\ufeff" not in str(seen[1])
+    f = tmp_path / "bad.vkd"
+    f.write_bytes(b"\xef\xbb\xbfab\xff")
+    assert run(capsys, "compute", f) == (
+        1, "", f"error: {f}: not UTF-8 text (invalid start byte at byte 5)\n")
+
+
 def test_batch_out_directory_is_an_error(capsys, tmp_path):
     rc, out, err = run(capsys, "batch", FIXTURES / "knot3_1.gauss", "--out", tmp_path)
     assert (rc, out) == (1, "")
