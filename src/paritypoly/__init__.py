@@ -13,7 +13,7 @@ from .diagram import (
     parse_vkd, relabel, reverse, shift_basepoint, switch, switch_crossing,
     switched_flip, validate,
 )
-from .realize import GaussError, RealizationError, parse_gauss, realize
+from .realize import GaussError, RealizationError, parse_gauss
 from .alexander import (
     AlexanderMatrix, InvariantResult,
     build_full_matrix_M, build_matrix_A, check_even_skein,

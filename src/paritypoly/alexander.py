@@ -308,11 +308,12 @@ _STEPS = {cls: tuple(None if e is None else _pack(e)
           for cls, (z, w) in ROW_TEMPLATES.items()}
 
 
-def fold_roles(role_map: Dict[int, Role], n: int) -> Tuple[List[Crossing], int]:
+def fold_roles(role_map: Dict[int, Role]) -> Tuple[List[Crossing], int]:
     """(folded, sign) with det A = sign * det build_matrix_A(code, folded),
-    for a code of n passes and ``role_map`` its ``roles``, possibly with a
-    crossing's class replaced: the even crossings, each with its one row
-    that is not one step, on segment heads (see the module docstring).
+    for ``role_map`` the ``roles`` of a code of n = 2 * len(role_map)
+    passes, possibly with a crossing's class replaced: the even crossings,
+    each with its one row that is not one step, on segment heads (see the
+    module docstring).
 
     The pass at position p holds the row from arc p to arc p + 1 (arc n
     at p = 0), so a list by position holds every one-step row's exponents,
@@ -327,6 +328,7 @@ def fold_roles(role_map: Dict[int, Role], n: int) -> Tuple[List[Crossing], int]:
     w the arc after its X pass, so sigma_A takes them to those positions;
     reordering whole crossings is an even permutation of the rows of A.
     """
+    n = 2 * len(role_map)
     step = [0] * n  # position -> packed exponents of its one-step row
     ends: List[int] = []  # positions of the kept rows
     kept: List[int] = []
@@ -548,8 +550,9 @@ def _det_A(code: DiagramCode, role_map: Dict[int, Role]) -> Tuple[LaurentPoly, L
     (poly, unit) of ``_det_parts`` with det A = poly * unit: eps * det(K),
     K the build_matrix_A of the table that fold_roles leaves (see the module
     docstring), eps folded into the unit, and (0, 1) when fold_roles keeps
-    no row."""
-    folded, sign = fold_roles(role_map, len(code.passes))
+    no row.  ``role_map`` holds every crossing of code, so fold_roles reads
+    the pass count off it."""
+    folded, sign = fold_roles(role_map)
     if not sign:
         return LaurentPoly.zero(), ONE
     poly, unit = _det_parts(build_matrix_A(code, folded))
@@ -713,7 +716,6 @@ def skein_matrices(code: DiagramCode, crossing_id: int
 
 @dataclass
 class SkeinReport:
-    crossing_id: int
     d_plus: LaurentPoly
     d_minus: LaurentPoly
     d_smooth: LaurentPoly
@@ -729,7 +731,6 @@ def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
                   (_det_A(code, r) for r in _skein_roles(code, crossing_id)))
     st = LaurentPoly.var("s") * LaurentPoly.var("t")
     return SkeinReport(
-        crossing_id=crossing_id,
         d_plus=dp, d_minus=dm, d_smooth=dv,
         proof_form_holds=(dp - st * dm == (LaurentPoly.one() - st) * dv),
     )

@@ -31,7 +31,7 @@ from .realize import (
     GaussError, RealizationError, SignedGaussCode, gauss_lines, parse_gauss, parse_gauss_line,
     realize,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 Named = Tuple[str, DiagramCode]
 
@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
         print("error: --trials must be >= 0", file=sys.stderr)
         return 1
     diagrams = load_paths(args.paths)
-    report = run_suite(args.suite, diagrams, trials=args.trials, seed=args.seed)
+    report = SUITES[args.suite](diagrams, args.trials, args.seed)
     for label, ok, detail in report.checks:
         if not ok:
             print(f"FAIL {label}" + (f"\n{detail}" if detail else ""))

@@ -89,9 +89,6 @@ class DiagramCode:
         if violations:
             raise DiagramError("; ".join(violations))
 
-    def __len__(self) -> int:
-        return len(self.passes)
-
     @property
     def arc_count(self) -> int:
         """Number of semi-arcs; the empty code has a single closed arc."""
@@ -99,12 +96,6 @@ class DiagramCode:
 
     def crossing_ids(self) -> List[int]:
         return list(dict.fromkeys(p.cid for p in self.passes))
-
-    def classical_ids(self) -> List[int]:
-        return [c for c in self.crossing_ids() if c in self.signs]
-
-    def virtual_ids(self) -> List[int]:
-        return [c for c in self.crossing_ids() if c not in self.signs]
 
     def to_text(self) -> str:
         return " ".join(p.token(self.signs.get(p.cid, 0)) for p in self.passes)
@@ -160,8 +151,8 @@ def validate(code: DiagramCode) -> List[str]:
     sign is +1 or -1 on an id that is present.  Distinct passes of these
     kinds give each id at most two, so exactly two: an over and an under
     pass, or a virtual pass with the frame bit and one without.  A code
-    that fails the test gets the per-crossing report, which leaves frame
-    bits on classical passes unread, so it accepts such a code."""
+    that fails the test gets the per-crossing report, which refuses the
+    same codes."""
     passes, signs = code.passes, code.signs
     ids = {cid for cid, _kind, _frame in passes}
     if (len(passes) == 2 * len(ids) == len(set(passes))
@@ -187,6 +178,8 @@ def _violations(code: DiagramCode) -> List[str]:
         if kinds == [OVER, UNDER]:
             if cid not in code.signs:
                 out.append(f"crossing {cid}: classical crossing without a sign")
+            if any(p.frame for p in plist):
+                out.append(f"crossing {cid}: classical pass carries a frame bit")
         elif kinds == [VIRTUAL, VIRTUAL]:
             if cid in code.signs:
                 out.append(f"crossing {cid}: virtual crossing must not carry a sign")

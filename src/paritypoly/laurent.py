@@ -182,12 +182,6 @@ class LaurentPoly:
 
     # -- unit content and canonical form ---------------------------------
 
-    def is_unit_monomial(self) -> bool:
-        """True iff the polynomial is +/- a single monomial with coefficient 1."""
-        if len(self.terms) != 1:
-            return False
-        return abs(next(iter(self.terms.values()))) == 1
-
     def shift(self, de: Exps, sign: int = 1) -> "LaurentPoly":
         """Multiply by sign * s^de0 t^de1 q^de2 h^de3."""
         return LaurentPoly({

@@ -19,8 +19,8 @@ from .alexander import (
     determinant, gcd_of_minors, parity_alexander,
 )
 from .diagram import (
-    ODD, R2_VARIANTS, DiagramCode, apply_move, crossings, parse_diagram,
-    random_code, relabel, removal_sites, shift_basepoint, switch_crossing,
+    ODD, R2_VARIANTS, DiagramCode, apply_move, parse_diagram, random_code,
+    relabel, removal_sites, roles, shift_basepoint, switch_crossing,
 )
 Check = Tuple[str, bool, str]  # label, passed, detail
 
@@ -124,12 +124,12 @@ def suite_skein(diagrams: Sequence[Tuple[str, DiagramCode]]) -> VerifyReport:
     """D+ - st D- = (1-st) Dv must hold at every even crossing."""
     report = VerifyReport("skein")
     for name, code in diagrams:
-        for c in crossings(code):
-            if c.cls not in ("even+", "even-"):
+        for cid, (cls, _x, _y) in sorted(roles(code).items()):
+            if cls not in ("even+", "even-"):
                 continue
-            rep = check_even_skein(code, c.cid)
+            rep = check_even_skein(code, cid)
             report.add(
-                f"{name}: crossing {c.cid}", rep.proof_form_holds,
+                f"{name}: crossing {cid}", rep.proof_form_holds,
                 "" if rep.proof_form_holds else
                 f"D+ = {rep.d_plus.to_text()}, D- = {rep.d_minus.to_text()}, "
                 f"Dv = {rep.d_smooth.to_text()}")
@@ -141,7 +141,7 @@ def suite_oddswitch(diagrams: Sequence[Tuple[str, DiagramCode]]) -> VerifyReport
     report = VerifyReport("oddswitch")
     for name, code in diagrams:
         base = parity_alexander(code).canonical
-        odd_ids = [c.cid for c in crossings(code) if c.cls == ODD]
+        odd_ids = [cid for cid, (cls, _x, _y) in sorted(roles(code).items()) if cls == ODD]
         for cid in odd_ids:
             got = parity_alexander(switch_crossing(code, cid)).canonical
             report.add(f"{name}: switch odd crossing {cid}", got == base,
@@ -227,10 +227,3 @@ SUITES = {
     "foxid": lambda d, trials, seed: suite_foxid(d, trials=trials, seed=seed),
     "prop1": lambda d, trials, seed: suite_prop1(d),
 }
-
-
-def run_suite(name: str, diagrams: Sequence[Tuple[str, DiagramCode]],
-              trials: int = 1000, seed: int = 0) -> VerifyReport:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](diagrams, trials, seed)

@@ -87,6 +87,62 @@ def test_verify_moves_seeded(capsys, tmp_path):
     assert "25/25" in out
 
 
+def test_verify_skein_and_oddswitch(capsys):
+    corpus = FIXTURES / "corpus50.vkd"
+    for suite, count in [("skein", 67), ("oddswitch", 42)]:
+        summary = f"suite {suite}: {count}/{count} checks passed"
+        rc, out, _ = run(capsys, "verify", suite, corpus)
+        assert (rc, out) == (0, summary + "\n")
+        rc, out, _ = run(capsys, "verify", suite, corpus, "--verbose")
+        lines = out.splitlines()
+        assert rc == 0 and lines[-1] == summary and len(lines) == count + 1
+        assert all(line.startswith("ok   ") for line in lines[:-1])
+
+
+def _monomial(es: int) -> LaurentPoly:
+    return LaurentPoly({(es, 0, 0, 0): 1})
+
+
+def test_verify_failures_print_their_counterexamples(capsys, monkeypatch):
+    """A forced failure in each suite gives exit 1 and a FAIL line followed
+    by the counterexample dump."""
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    from paritypoly import verify
+
+    corpus = FIXTURES / "corpus50.vkd"
+    real_skein = verify.check_even_skein
+    monkeypatch.setattr(verify, "check_even_skein",
+                        lambda code, cid: replace(real_skein(code, cid), proof_form_holds=False))
+    rc, out, _ = run(capsys, "verify", "skein", corpus)
+    lines = out.splitlines()
+    assert rc == 1 and lines[-1] == "suite skein: 0/67 checks passed"
+    assert lines[0] == "FAIL rand00: crossing 2"
+    assert lines[1].startswith("D+ = ") and ", D- = " in lines[1] and ", Dv = " in lines[1]
+    assert len(lines) == 2 * 67 + 1
+    monkeypatch.undo()
+
+    # an "invariant" that reads the sum of the signs: switching any crossing moves it
+    monkeypatch.setattr(verify, "parity_alexander",
+                        lambda code: SimpleNamespace(canonical=_monomial(sum(code.signs.values()))))
+    rc, out, _ = run(capsys, "verify", "oddswitch", corpus)
+    lines = out.splitlines()
+    fails = [i for i, line in enumerate(lines) if line.startswith("FAIL ")]
+    assert rc == 1 and lines[-1] == f"suite oddswitch: {42 - len(fails)}/42 checks passed"
+    assert fails and " -> " in lines[fails[0] + 1]
+
+    # one that reads the pass count: every insertion and removal moves it
+    monkeypatch.setattr(verify, "parity_alexander",
+                        lambda code: SimpleNamespace(canonical=_monomial(len(code.passes))))
+    rc, out, _ = run(capsys, "verify", "moves", corpus, "--trials", "6", "--seed", "1")
+    assert rc == 1 and "FAIL trial " in out
+    dump = out[out.index("FAIL trial "):]
+    for part in ("changed the invariant:\n  before: ", "\n  after:  ",
+                 "\n  phi(before) = s^", "\n  phi(after)  = s^"):
+        assert part in dump
+
+
 def test_batch(capsys, tmp_path):
     out_file = tmp_path / "records.jsonl"
     rc, _out, _ = run(capsys, "batch", FIXTURES / "table_knots.gauss", "--out", out_file)

@@ -29,8 +29,7 @@ def test_parse_basic():
     assert code.to_text() == "O1+ U2+ U1+ O2+"
 
     mixed = parse_diagram("V1x O2- V1y U2-")
-    assert mixed.virtual_ids() == [1]
-    assert mixed.classical_ids() == [2]
+    assert mixed.crossing_ids() == [1, 2]
     assert mixed.signs == {2: -1}
 
 
@@ -91,13 +90,11 @@ def test_each_corruption_gives_its_report_text():
         (passes, {**signs, 1: 2}, "crossing 1: sign must be +1 or -1"),
         ([p._replace(cid=0) if p.cid == 3 else p for p in passes], signs,
          "crossing 0: id must be a positive integer"),
+        (swap(Pass(1, OVER), Pass(1, OVER, True)), signs,
+         "crossing 1: classical pass carries a frame bit"),
     ]
     for corrupt, corrupt_signs, text in cases:
         assert _refusal(corrupt, corrupt_signs) == text
-    # the linear test refuses a frame bit on a classical pass, and the
-    # report, which reads no frame bit there, accepts the code
-    framed = DiagramCode(tuple(swap(Pass(1, OVER), Pass(1, OVER, True))), signs)
-    assert validate(framed) == [] and framed.passes[0] == Pass(1, OVER, True)
 
 
 def _mutated(rng, code):
@@ -127,7 +124,8 @@ def _mutated(rng, code):
 
 def test_linear_accept_and_report_agree_on_random_corruptions():
     """The constructor refuses a code, with the per-crossing report's text,
-    exactly when that report is not empty."""
+    exactly when that report is not empty, and every code it accepts is
+    the parse of its own text."""
     rng = random.Random(23)
     refused = accepted = 0
     for _ in range(3000):
@@ -135,6 +133,9 @@ def test_linear_accept_and_report_agree_on_random_corruptions():
         report = diagram._violations(SimpleNamespace(passes=tuple(passes), signs=signs))
         text = _refusal(passes, signs)
         assert text == ("; ".join(report) if report else None), (passes, signs)
+        if not report:
+            code = DiagramCode(tuple(passes), signs)
+            assert code == parse_diagram(code.to_text()), (passes, signs)
         refused += bool(report)
         accepted += not report
     assert refused > 2000 and accepted > 50
@@ -300,7 +301,7 @@ def test_crossings_cover_each_arc_once_and_count_classes():
         parities = list(parity(code).values())
         assert classes.count("even+") + classes.count("even-") == parities.count(EVEN)
         assert classes.count(ODD) == parities.count(ODD)
-        assert classes.count("virtual") == len(code.virtual_ids())
+        assert classes.count("virtual") == len(code.crossing_ids()) - len(code.signs)
 
 
 def test_symmetry_operators_are_involutions():
@@ -350,6 +351,8 @@ def test_shift_and_relabel_identities():
         relabel(code, {1: 5, 2: 5})
     with pytest.raises(DiagramError):
         relabel(code, {1: 5})
+    with pytest.raises(DiagramError, match="relabeled ids must be positive"):
+        relabel(code, {1: 0, 2: 1})
 
 
 def test_classical_gauss_code_projection():
@@ -373,6 +376,8 @@ code: V1x V1y
     assert [code.to_text() for _, code in entries] == ["O1+ U1+", "V1x V1y"]
     with pytest.raises(DiagramError):
         parse_vkd("name: dangling\n")
+    with pytest.raises(DiagramError, match="line 2: name 'first' has no code line"):
+        parse_vkd("name: first\nname: second\ncode: O1+ U1+\n")
     with pytest.raises(DiagramError):
         parse_vkd("gibberish\n")
     # empty code line is the unknot

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from paritypoly import foxcalc as fx
 from paritypoly.laurent import LaurentPoly, S, T, T1
 
@@ -31,6 +33,10 @@ def test_fox_basics():
     assert fx.fox_derivative(w("a1"), Y) == LaurentPoly.zero()
     assert fx.fox_derivative(w("a1^-1"), X) == -T1
     assert fx.fox_derivative((), X) == LaurentPoly.zero()
+    with pytest.raises(ValueError, match="arc index must be positive, got 0"):
+        fx.arc(0)
+    with pytest.raises(ValueError, match="bad generator token 't'"):
+        w("a1 t")
 
 
 def test_fox_worked_example():

@@ -29,6 +29,10 @@ def test_basic_arithmetic():
     assert S * S1 == ONE
     assert (S + T) - (S + T) == ZERO
     assert -(-a) == a
+    with pytest.raises(ValueError, match="negative powers"):
+        S ** -1
+    with pytest.raises(TypeError, match="cannot coerce str to LaurentPoly"):
+        S + "x"
 
 
 def test_ring_axioms_random():

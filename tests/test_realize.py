@@ -72,6 +72,15 @@ def test_realize_strategy_is_0_or_1(strategy):
         realize(parse_gauss("O1+U1+"), strategy=strategy)
 
 
+def test_package_attribute_is_the_realize_module():
+    import sys
+
+    import paritypoly.realize as rz
+
+    assert rz is sys.modules["paritypoly.realize"]
+    assert rz.realize is realize
+
+
 def test_realize_empty():
     assert realize(()) .passes == ()
 
@@ -79,8 +88,7 @@ def test_realize_empty():
 def assert_virtual_numbering(code):
     """Virtual ids avoid the classical ones and run consecutively from the
     largest classical id + 1, in the order they are first visited."""
-    vids = code.virtual_ids()
-    assert set(vids).isdisjoint(code.signs)
+    vids = [cid for cid in code.crossing_ids() if cid not in code.signs]
     start = max(code.signs) + 1
     assert vids == list(range(start, start + len(vids)))
 
@@ -102,7 +110,7 @@ def test_round_trip_random():
         assert classical_gauss_code(code) == g
         assert_virtual_numbering(code)
         # every extra crossing is virtual with exactly one frame bit
-        for cid in code.virtual_ids():
+        for cid in code.crossing_ids() - code.signs.keys():
             frames = [p.frame for p in code.passes if p.cid == cid]
             assert sorted(frames) == [False, True]
 
