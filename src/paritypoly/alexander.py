@@ -20,13 +20,14 @@ incoming arcs, entries on coinciding arcs adding.  The "smooth" rows of
 are the oriented smoothing of an even crossing, which only the skein
 role maps hold.
 
-``build_matrix_A`` reads the rows of a crossing table straight off the
-templates.  The oracle path builds words (``crossing_relators``) and
-differentiates them (``fox_matrix_A``, ``build_full_matrix_M``); the
-bordered matrix M, the presentation view and the tests use it, and the
-tests check that both give the same A.  One path goes from a role map
-to det A, ``_det_A``, for ``parity_alexander`` and for the skein triple
-alike.
+``_template_rows`` reads the rows of a crossing table straight off the
+templates, as term dicts, and ``build_matrix_A`` wraps them as a
+labelled ``AlexanderMatrix``.  The oracle path builds words
+(``crossing_relators``) and differentiates them (``fox_matrix_A``,
+``build_full_matrix_M``); the bordered matrix M, the presentation view
+and the tests use it, and the tests check that both give the same A.
+One path goes from a role map to det A, ``_det_A``, for
+``parity_alexander`` and for the skein triple alike.
 
 ``_det_A`` contracts every one-step row first, so that its matrix K has
 one row per even crossing, and two for a smoothed one.  Both rows of a
@@ -58,6 +59,10 @@ neighbours do (its 0 x 0 matrix A has det 1).  At h = q the odd template
 is the virtual one, so the invariant at h = q is that of the code with its
 odd crossings made virtual, framed on their X pass, whenever that keeps
 every even crossing even.
+
+With one or two rows K has no unit pivot worth taking, so ``_det_A``
+reads det K off ``_template_rows`` in closed form; a larger K goes
+through ``build_matrix_A`` and the kernel below.
 
 ``determinant`` divides nowhere: its kernel ``_det_parts`` pivots on the
 +/- monomial entries (unit pivots: in the sparsest row, at the unit column
@@ -240,38 +245,48 @@ ROW_TEMPLATES: Dict[str, Tuple[Tuple[Tuple[str, LaurentPoly], ...], ...]] = {
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
-def build_matrix_A(code: DiagramCode,
-                   table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
-    """Square matrix read off ROW_TEMPLATES[c.cls], a row per nonzero
-    target in the table: rows by ascending crossing id, z before w, and one
-    column per row target, ascending; entries on coinciding arcs add and
-    zero entries are dropped.  ``table`` is ``crossings(code)``, possibly of
-    a role map with a crossing's class replaced (the skein role maps), or a
-    table folded by ``fold_roles``, whose x and y entries are shifted by
-    x_exp and y_exp.  For ``crossings(code)`` this is the 2n x 2n
-    matrix A over the arcs 1..n, which fox_matrix_A builds from Fox
-    derivatives."""
-    if table is None:
-        table = crossings(code)
-    rows: List[Dict[ColKey, LaurentPoly]] = []
-    labels: List[Tuple] = []
-    cols: List[ColKey] = []
+def _template_rows(table: Sequence[Crossing]) -> Tuple[List[Dict[int, Terms]], List[int]]:
+    """(rows, targets): a row of ROW_TEMPLATES[c.cls] per nonzero target in
+    the table, by ascending crossing id, z before w, as {column: terms},
+    and each row's target.  Every term dict is fresh; entries on coinciding
+    arcs add, and zero entries are dropped.  The x and y entries of a table
+    folded by ``fold_roles`` are shifted by x_exp and y_exp."""
+    rows: List[Dict[int, Terms]] = []
+    targets: List[int] = []
     for c in table:
         incoming = {"x": (c.x_in, c.x_exp), "y": (c.y_in, c.y_exp)}
-        for kind, target, entries in zip("zw", (c.z_out, c.w_out), ROW_TEMPLATES[c.cls]):
+        for target, entries in zip((c.z_out, c.w_out), ROW_TEMPLATES[c.cls]):
             if not target:
                 continue
-            row: Dict[ColKey, LaurentPoly] = {target: _MINUS_ONE}
+            row: Dict[int, Terms] = {target: {(0, 0, 0, 0): -1}}
             for role, coeff in entries:
-                col, e = incoming[role]
-                if e != (0, 0, 0, 0):
-                    coeff = coeff.shift(e)
-                row[col] = row[col] + coeff if col in row else coeff
-            rows.append({col: v for col, v in row.items() if v})
-            labels.append((c.cid, kind))
-            cols.append(target)
-    cols.sort()
-    return AlexanderMatrix(rows, labels, cols)
+                col, (e0, e1, e2, e3) = incoming[role]
+                acc = row.setdefault(col, {})
+                for (a0, a1, a2, a3), v in coeff.terms.items():
+                    e = (a0 + e0, a1 + e1, a2 + e2, a3 + e3)
+                    acc[e] = acc.get(e, 0) + v
+            if len(row) <= len(entries):  # entries met on a column: drop the zeros
+                row = {col: v for col, v in zip(row, map(drop_zeros, row.values())) if v}
+            rows.append(row)
+            targets.append(target)
+    return rows, targets
+
+
+def build_matrix_A(code: DiagramCode,
+                   table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
+    """Square matrix of the ``_template_rows`` of the table, labelled
+    (crossing id, "z" or "w"), with one column per row target, ascending.
+    ``table`` is ``crossings(code)``, possibly of a role map with a
+    crossing's class replaced (the skein role maps), or a table folded by
+    ``fold_roles``.  For ``crossings(code)`` this is the 2n x 2n matrix A
+    over the arcs 1..n, which fox_matrix_A builds from Fox derivatives."""
+    if table is None:
+        table = crossings(code)
+    rows, targets = _template_rows(table)
+    labels = [(c.cid, kind) for c in table
+              for kind, target in (("z", c.z_out), ("w", c.w_out)) if target]
+    return AlexanderMatrix([{col: LaurentPoly(v) for col, v in row.items()} for row in rows],
+                           labels, sorted(targets))
 
 
 def _one_step(row: Tuple[Tuple[str, LaurentPoly], ...], strand: str) -> Optional[Exps]:
@@ -548,15 +563,30 @@ class InvariantResult:
 def _det_A(code: DiagramCode, role_map: Dict[int, Role]) -> Tuple[LaurentPoly, LaurentPoly]:
     """det A of code, its roles given as ``role_map``, exactly, as the
     (poly, unit) of ``_det_parts`` with det A = poly * unit: eps * det(K),
-    K the build_matrix_A of the table that fold_roles leaves (see the module
+    K the matrix of the table that fold_roles leaves (see the module
     docstring), eps folded into the unit, and (0, 1) when fold_roles keeps
     no row.  ``role_map`` holds every crossing of code, so fold_roles reads
-    the pass count off it."""
+    the pass count off it.
+
+    K has a row per kept crossing, two for a smoothed one, and a column
+    per row target: every entry sits on a head.  With at most two rows no
+    unit pivot saves a product, so K is read off ``_template_rows`` in
+    closed form, its one entry or a d - b c, with unit +/-1.  A larger K
+    goes through ``build_matrix_A`` and ``_det_parts``."""
     folded, sign = fold_roles(role_map)
     if not sign:
         return LaurentPoly.zero(), ONE
-    poly, unit = _det_parts(build_matrix_A(code, folded))
-    return poly, (-unit if sign < 0 and poly else unit)
+    if len(folded) + [c.cls for c in folded].count("smooth") > 2:
+        poly, unit = _det_parts(build_matrix_A(code, folded))
+        return poly, (-unit if sign < 0 and poly else unit)
+    rows, targets = _template_rows(folded)
+    if len(rows) == 1:
+        det = rows[0].get(targets[0], {})
+    else:  # a d - b c, with rows (a, b) and (c, d) over the ascending targets
+        (lo, hi), (r0, r1) = sorted(targets), rows
+        det = drop_zeros(add_product(add_product(None, r0.get(lo, {}), r1.get(hi, {}), 1),
+                                     r0.get(hi, {}), r1.get(lo, {}), -1))
+    return LaurentPoly(det), (_MINUS_ONE if sign < 0 and det else ONE)
 
 
 def parity_alexander(code: DiagramCode) -> InvariantResult:

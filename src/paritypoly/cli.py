@@ -11,9 +11,12 @@ by ``name:`` lines) and ``.gauss`` classical signed Gauss codes (one per
 line, ``name<TAB>code`` or bare), which are routed through the planar
 realizer before the invariant is computed.
 
-Exit codes: 0 success, 1 input or verification failure, 2 internal
-error: the realizer hit a routing degeneracy (``RealizationError``) or an
-oracle division was inexact (``InexactDivision``); both are bugs.
+A command's options may come before, among or after its paths.
+
+Exit codes: 0 success, 1 input or verification failure, 2 a usage error
+(argparse's) or an internal error: the realizer hit a routing degeneracy
+(``RealizationError``) or an oracle division was inexact
+(``InexactDivision``); both are bugs.
 """
 
 from __future__ import annotations
@@ -171,12 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="canonical invariant per diagram")
     p.add_argument("paths", nargs="+")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_compute)
+    p.set_defaults(fn=cmd_compute, parser=p)
 
     p = sub.add_parser("bounds", help="widths and crossing-number lower bounds")
     p.add_argument("paths", nargs="+")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, parser=p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
@@ -184,21 +187,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, parser=p)
 
     p = sub.add_parser("presentation", help="print the group presentation")
     p.add_argument("paths", nargs="+")
-    p.set_defaults(fn=cmd_presentation)
+    p.set_defaults(fn=cmd_presentation, parser=p)
 
     p = sub.add_parser("batch", help="stream JSON records for a .gauss table")
     p.add_argument("table")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_batch)
+    p.set_defaults(fn=cmd_batch, parser=p)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # argparse cannot intermix options and paths through subparsers, so
+        # the command's own parser takes all of its arguments again; an
+        # unknown option is still a usage error there (exit 2)
+        args = args.parser.parse_intermixed_args(argv[1:])
     try:
         return args.fn(args)
     except (DiagramError, GaussError, OSError) as exc:  # OSError names its path

@@ -168,7 +168,13 @@ def random_word(rng: random.Random, max_len: int = 20) -> fx.Word:
 
 def suite_foxid(diagrams: Sequence[Tuple[str, DiagramCode]] = (),
                 trials: int = 1000, seed: int = 0) -> VerifyReport:
-    """Fox's fundamental identity on random words; det(M) = 0 per diagram."""
+    """Fox's fundamental identity on random words; det(M) = 0 per diagram.
+
+    The det(M) check holds for every set of relator rows: M's commutator
+    rows have no arc entries, so det M = det A * det D, D the block of the
+    s, q, h columns, [[1-q, s-1, 0], [1-h, 0, s-1], [0, h-1, 1-q]], and
+    det D = 0 identically.  It exercises the commutator block and the
+    determinant kernel only, not the crossing relators."""
     rng = random.Random(seed)
     report = VerifyReport("foxid")
     bad = 0

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from paritypoly.cli import main
 from paritypoly.laurent import LaurentPoly
 
@@ -180,6 +182,28 @@ def test_batch_keeps_out_file_when_table_is_missing(capsys, tmp_path):
 def test_verify_refuses_negative_trials(capsys):
     rc, out, err = run(capsys, "verify", "moves", FIXTURES / "unknot.vkd", "--trials", "-3")
     assert (rc, out, err) == (1, "", "error: --trials must be >= 0\n")
+
+
+def test_options_may_come_before_or_among_the_paths(capsys):
+    """A command's options are accepted anywhere among its paths, with the
+    output of the documented order; an unknown option is still a usage
+    error, exit 2."""
+    unknot, corpus = FIXTURES / "unknot.vkd", FIXTURES / "corpus50.vkd"
+    gauss = FIXTURES / "knot3_1.gauss"
+    for mixed, documented in [
+        (("verify", "moves", "--trials", "3", unknot),
+         ("verify", "moves", unknot, "--trials", "3")),
+        (("verify", "skein", "--verbose", corpus), ("verify", "skein", corpus, "--verbose")),
+        (("compute", unknot, "--json", gauss), ("compute", unknot, gauss, "--json")),
+        (("bounds", unknot, "--json", gauss), ("bounds", unknot, gauss, "--json")),
+    ]:
+        want = run(capsys, *documented)
+        assert want[0] == 0 and want[1]
+        assert run(capsys, *mixed) == want, mixed
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", str(unknot), "--bogus", str(gauss)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_directory_input_is_an_error(capsys, tmp_path):
