@@ -21,8 +21,8 @@ are the oriented smoothing of an even crossing, which only the skein
 role maps hold.
 
 ``_template_rows`` reads the rows of a crossing table straight off the
-templates, as term dicts, and ``build_matrix_A`` wraps them as a
-labelled ``AlexanderMatrix``.  The oracle path builds words
+templates, as term dicts, and ``build_matrix_A`` wraps them as an
+``AlexanderMatrix``.  The oracle path builds words
 (``crossing_relators``) and differentiates them (``fox_matrix_A``,
 ``build_full_matrix_M``); the bordered matrix M, the presentation view
 and the tests use it, and the tests check that both give the same A.
@@ -136,7 +136,6 @@ from .diagram import (
     ODD,
     Crossing, DiagramCode, DiagramError, Role, crossings, roles,
     switch, flip, reverse, switched_flip,
-    switch_crossing,  # re-exported: the odd-switch checks import it from here
 )
 from .foxcalc import H_GEN, Q_GEN, S_GEN, Word, arc
 from .laurent import (H, H1, ONE, Q, Q1, S, S1, T, T1, Exps, InexactDivision, LaurentPoly,
@@ -148,7 +147,6 @@ ColKey = object  # arc index (int) or one of "s", "q", "h"
 @dataclass
 class AlexanderMatrix:
     rows: List[Dict[ColKey, LaurentPoly]]
-    row_labels: List[Tuple]
     cols: List[ColKey]
 
     @property
@@ -213,9 +211,8 @@ def _fox_matrix(code: DiagramCode, extra_cols: Tuple[ColKey, ...],
     per arc plus ``extra_cols``."""
     cols: List[ColKey] = list(range(1, len(code.passes) + 1)) + list(extra_cols)
     col_set = set(cols)
-    labeled = crossing_relators(code) + [(("comm", name), word) for name, word in extra_rows]
-    return AlexanderMatrix([_word_row(word, col_set) for _label, word in labeled],
-                           [label for label, _word in labeled], cols)
+    relators = crossing_relators(code) + list(extra_rows)
+    return AlexanderMatrix([_word_row(word, col_set) for _label, word in relators], cols)
 
 
 def fox_matrix_A(code: DiagramCode) -> AlexanderMatrix:
@@ -274,8 +271,8 @@ def _template_rows(table: Sequence[Crossing]) -> Tuple[List[Dict[int, Terms]], L
 
 def build_matrix_A(code: DiagramCode,
                    table: Optional[List[Crossing]] = None) -> AlexanderMatrix:
-    """Square matrix of the ``_template_rows`` of the table, labelled
-    (crossing id, "z" or "w"), with one column per row target, ascending.
+    """Square matrix of the ``_template_rows`` of the table, with one
+    column per row target, ascending.
     ``table`` is ``crossings(code)``, possibly of a role map with a
     crossing's class replaced (the skein role maps), or a table folded by
     ``fold_roles``.  For ``crossings(code)`` this is the 2n x 2n matrix A
@@ -283,10 +280,8 @@ def build_matrix_A(code: DiagramCode,
     if table is None:
         table = crossings(code)
     rows, targets = _template_rows(table)
-    labels = [(c.cid, kind) for c in table
-              for kind, target in (("z", c.z_out), ("w", c.w_out)) if target]
     return AlexanderMatrix([{col: LaurentPoly(v) for col, v in row.items()} for row in rows],
-                           labels, sorted(targets))
+                           sorted(targets))
 
 
 def _one_step(row: Tuple[Tuple[str, LaurentPoly], ...], strand: str) -> Optional[Exps]:
@@ -736,9 +731,9 @@ def skein_matrices(code: DiagramCode, crossing_id: int
                    ) -> Tuple[AlexanderMatrix, AlexanderMatrix, AlexanderMatrix]:
     """(M_plus, M_minus, M_smooth): the unfolded A of the three skein
     role maps, the selected even crossing's two rows read off the "even+",
-    "even-" and "smooth" templates; the other rows and the labeling are
-    shared.  ``check_even_skein`` takes the same determinants through the
-    fold; the tests compare it with these."""
+    "even-" and "smooth" templates; the other rows and the row and column
+    order are shared.  ``check_even_skein`` takes the same determinants
+    through the fold; the tests compare it with these."""
     plus, minus, smooth = (build_matrix_A(code, crossings(code, r))
                            for r in _skein_roles(code, crossing_id))
     return plus, minus, smooth
@@ -754,9 +749,9 @@ class SkeinReport:
 
 def check_even_skein(code: DiagramCode, crossing_id: int) -> SkeinReport:
     """Evaluate the skein identity D+ - st D- = (1-st) Dv exactly (no unit
-    normalization; the shared labeling makes the determinants comparable).
-    Each is ``_det_A`` of a skein role map, the same fold and kernel as
-    ``parity_alexander``."""
+    normalization; the shared row and column order makes the determinants
+    comparable).  Each is ``_det_A`` of a skein role map, the same fold
+    and kernel as ``parity_alexander``."""
     dp, dm, dv = (poly * unit for poly, unit in
                   (_det_A(code, r) for r in _skein_roles(code, crossing_id)))
     st = LaurentPoly.var("s") * LaurentPoly.var("t")

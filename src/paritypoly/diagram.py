@@ -406,14 +406,14 @@ def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
     largest id + 1 and + 2.  Each arc is checked to be an int in
     1..arc_count in the order the move gives, and blocks on one arc are
     placed in that order.  A bad option raises MoveError before any arc is
-    checked."""
+    checked.  A bool is no int here, though True == 1."""
     kind = move[0]
     c = max([p.cid for p in code.passes], default=0) + 1
     d = c + 1
     signs: Dict[int, int] = {}
     if kind == "r1_insert":
         _, arc, side, sign = move
-        if side not in ("o", "u") or sign not in (1, -1):
+        if side not in ("o", "u") or type(sign) is not int or sign not in (1, -1):
             raise MoveError(f"bad r1_insert parameters {move!r}")
         block = [Pass(c, OVER), Pass(c, UNDER)]
         sites = [(arc, block if side == "o" else block[::-1])]
@@ -444,7 +444,7 @@ def _insert(code: DiagramCode, move: Tuple) -> DiagramCode:
     n = code.arc_count
     placed: Dict[int, List[Pass]] = {}  # insertion position -> passes
     for arc, block in sites:
-        if not isinstance(arc, int):
+        if type(arc) is not int:
             raise MoveError(f"bad {kind} parameters {move!r}")
         if not 1 <= arc <= n:
             raise MoveError(f"arc {arc} out of range 1..{n}")
@@ -476,22 +476,24 @@ def _removal_check(code: DiagramCode) -> Callable[[Tuple], List[int]]:
             hash(move)
         except TypeError:  # a crossing id that is a list or a dict
             raise MoveError(f"bad {kind} parameters {move!r}") from None
+        # no crossing has a non-int id, though True == 1 and 2.0 == 2 would find one
+        absent = any(type(cid) is not int for cid in move[1:])
         if kind in _REMOVALS[:2]:
             _, cid = move
             want = "classical" if kind == "r1_remove" else "virtual"
-            if (cid in code.signs) != (want == "classical") or cid not in at:
+            if absent or (cid in code.signs) != (want == "classical") or cid not in at:
                 raise MoveError(f"crossing {cid} is not {want}")
             if not adjacent(*at[cid]):
                 raise MoveError(f"crossing {cid}: passes are not adjacent")
             return at[cid]
         _, c, d = move
         if kind == "r2_remove":
-            if c not in code.signs or d not in code.signs or c == d:
+            if absent or c not in code.signs or d not in code.signs or c == d:
                 raise MoveError(f"r2_remove needs two distinct classical crossings, got {c},{d}")
             if code.signs[c] + code.signs[d] != 0:
                 raise MoveError(f"crossings {c},{d} do not have opposite signs")
         else:
-            if c == d or c not in at or d not in at:
+            if absent or c == d or c not in at or d not in at:
                 raise MoveError(f"v2_remove needs two distinct crossings, got {c},{d}")
             if c in code.signs or d in code.signs:
                 raise MoveError(f"crossings {c},{d} are not both virtual")

@@ -125,9 +125,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 from paritypoly.alexander import (
     build_full_matrix_M, build_matrix_A, check_even_skein, check_symmetries,
-    determinant, determinant_cofactor, parity_alexander, switch_crossing,
+    determinant, determinant_cofactor, parity_alexander,
 )
-from paritypoly.diagram import EVEN, ODD, parity, parse_vkd
+from paritypoly.diagram import EVEN, ODD, parity, parse_vkd, switch_crossing
 from paritypoly.laurent import LaurentPoly
 from paritypoly.realize import parse_gauss_file, realize
 from paritypoly.verify import suite_moves, suite_prop1, random_word
@@ -252,7 +252,7 @@ def test_criterion_10_determinant_oracle():
         for _i in range(5):
             row = {j: rand_entry(rng) for j in range(5)}
             rows.append({j: v for j, v in row.items() if v})
-        m = AlexanderMatrix(rows, list(range(5)), list(range(5)))
+        m = AlexanderMatrix(rows, list(range(5)))
         assert determinant(m) == determinant_cofactor(m), f"matrix {t}"
     verdict(10, "fraction-free determinant equals cofactor oracle", True,
             "200 random 5x5 matrices")

@@ -13,12 +13,12 @@ from paritypoly.alexander import (
     AlexanderMatrix, build_full_matrix_M, build_matrix_A,
     check_even_skein, check_symmetries, crossing_bounds, crossing_relators,
     determinant, determinant_cofactor, gcd_of_minors, group_presentation,
-    fox_matrix_A, parity_alexander, poly_gcd, skein_matrices, switch_crossing,
+    fox_matrix_A, parity_alexander, poly_gcd, skein_matrices,
 )
 from paritypoly.diagram import (
     OVER, UNDER, VIRTUAL, DiagramCode, DiagramError, Pass,
     apply_move, crossings, parse_diagram, parse_vkd, random_code, random_code_of_size,
-    removal_sites, roles,
+    removal_sites, roles, switch_crossing,
 )
 from paritypoly.laurent import H, LaurentPoly, ONE, Q, S, T, ZERO, add_product, drop_zeros
 from paritypoly.realize import parse_gauss, parse_gauss_file, realize
@@ -60,8 +60,11 @@ def test_crossing_classes():
         1: "odd", 2: "virtual", 3: "odd", 4: "even+", 5: "even-"}
 
 
-def row_map(matrix, label):
-    return matrix.rows[matrix.row_labels.index(label)]
+def row_map(matrix, code, label):
+    """The row ``label``, (crossing id, "z" or "w"), of an unfolded matrix of
+    code: crossings by ascending id, z before w."""
+    cid, kind = label
+    return matrix.rows[2 * sorted(code.crossing_ids()).index(cid) + "zw".index(kind)]
 
 
 def test_even_positive_row_templates():
@@ -69,9 +72,9 @@ def test_even_positive_row_templates():
     # x_in=1, w_out=2, y_in=4, z_out=5
     code = parse_diagram("O1+ O2+ U1+ O3+ U2+ U3+")
     A = build_matrix_A(code)
-    z_row = row_map(A, (2, "z"))
+    z_row = row_map(A, code, (2, "z"))
     assert z_row == {1: 1 - S * T, 4: T, 5: LaurentPoly.const(-1)}
-    w_row = row_map(A, (2, "w"))
+    w_row = row_map(A, code, (2, "w"))
     assert w_row == {1: S, 2: LaurentPoly.const(-1)}
 
 
@@ -79,27 +82,27 @@ def test_even_negative_row_templates():
     # negative: x enters at the under pass, so x_in=4, w_out=5, y_in=1, z_out=2
     code = parse_diagram("O1- O2- U1- O3- U2- U3-")
     A = build_matrix_A(code)
-    z_row = row_map(A, (2, "z"))
+    z_row = row_map(A, code, (2, "z"))
     assert z_row == {1: S1, 2: LaurentPoly.const(-1)}
-    w_row = row_map(A, (2, "w"))
+    w_row = row_map(A, code, (2, "w"))
     assert w_row == {4: T1, 1: ONE - S1 * T1, 5: LaurentPoly.const(-1)}
 
 
 def test_odd_row_templates():
     code = parse_diagram("O1+ O2+ U1+ U2+")  # a b a b: both crossings odd
     A = build_matrix_A(code)
-    z_row = row_map(A, (1, "z"))   # x_in=4 (over in), y_in=2, z=3, w=1
+    z_row = row_map(A, code, (1, "z"))   # x_in=4 (over in), y_in=2, z=3, w=1
     assert z_row == {2: H1, 3: LaurentPoly.const(-1)}
-    w_row = row_map(A, (1, "w"))
+    w_row = row_map(A, code, (1, "w"))
     assert w_row == {4: H, 1: LaurentPoly.const(-1)}
 
 
 def test_virtual_row_templates():
     code = parse_diagram("V1x O2+ V1y U2+")
     A = build_matrix_A(code)
-    z_row = row_map(A, (1, "z"))   # frame pass at position 0: x_in=4, w=1, y=2, z=3
+    z_row = row_map(A, code, (1, "z"))   # frame pass at position 0: x_in=4, w=1, y=2, z=3
     assert z_row == {2: Q1, 3: LaurentPoly.const(-1)}
-    w_row = row_map(A, (1, "w"))
+    w_row = row_map(A, code, (1, "w"))
     assert w_row == {4: Q, 1: LaurentPoly.const(-1)}
 
 
@@ -351,16 +354,16 @@ def test_full_matrix_commutator_rows():
     code = parse_diagram("O1+ U1+")
     M = build_full_matrix_M(code)
     assert M.size == (5, 5)
-    assert row_map(M, ("comm", "[s,q]")) == {"s": 1 - Q, "q": S - 1}
-    assert row_map(M, ("comm", "[s,h]")) == {"s": 1 - H, "h": S - 1}
-    assert row_map(M, ("comm", "[h,q]")) == {"q": H - 1, "h": 1 - Q}
+    # after the crossing rows: [s,q], [s,h], [h,q]
+    assert M.rows[2:] == [{"s": 1 - Q, "q": S - 1}, {"s": 1 - H, "h": S - 1},
+                          {"q": H - 1, "h": 1 - Q}]
 
 
 def test_commutator_block_determinant_zero():
     rows = [{"s": 1 - Q, "q": S - 1},
             {"s": 1 - H, "h": S - 1},
             {"q": H - 1, "h": 1 - Q}]
-    block = AlexanderMatrix(rows, [("c", i) for i in range(3)], ["s", "q", "h"])
+    block = AlexanderMatrix(rows, ["s", "q", "h"])
     assert determinant(block).is_zero()
     assert determinant_cofactor(block).is_zero()
 
@@ -373,14 +376,14 @@ def test_det_M_vanishes():
 
 
 def test_determinant_small():
-    one_by_one = AlexanderMatrix([{0: 1 - S * T}], ["r"], [0])
+    one_by_one = AlexanderMatrix([{0: 1 - S * T}], [0])
     assert determinant(one_by_one) == 1 - S * T
-    empty = AlexanderMatrix([], [], [])
+    empty = AlexanderMatrix([], [])
     assert determinant(empty) == ONE
     with pytest.raises(ValueError):
-        determinant(AlexanderMatrix([{0: S}], ["r"], [0, 1]))
+        determinant(AlexanderMatrix([{0: S}], [0, 1]))
     with pytest.raises(ValueError, match="matrix is 1x2, not square"):
-        determinant_cofactor(AlexanderMatrix([{0: S}], ["r"], [0, 1]))
+        determinant_cofactor(AlexanderMatrix([{0: S}], [0, 1]))
 
 
 def rand_laurent(rng):
@@ -397,7 +400,7 @@ def test_determinant_matches_cofactor_oracle():
         n = rng.randint(1, 4)
         rows = [{j: rand_laurent(rng) for j in range(n)} for _ in range(n)]
         rows = [{j: v for j, v in r.items() if v} for r in rows]
-        m = AlexanderMatrix(rows, list(range(n)), list(range(n)))
+        m = AlexanderMatrix(rows, list(range(n)))
         assert determinant(m) == determinant_cofactor(m)
 
 
@@ -433,7 +436,7 @@ def test_determinant_exactly_matches_cofactor_on_sparse_matrices():
                     row = {j: v for j, v in row.items() if not _is_unit(v)}
                 rows.append(row)
         unit_free += any(r and not any(_is_unit(v) for v in r.values()) for r in rows)
-        m = AlexanderMatrix(rows, list(range(n)), list(range(n)))
+        m = AlexanderMatrix(rows, list(range(n)))
         det = determinant(m)
         assert det == determinant_cofactor(m), rows
         singular += det.is_zero()
@@ -493,7 +496,7 @@ def test_core_holds_no_stored_zero(monkeypatch):
     laplace = ax._laplace
     monkeypatch.setattr(ax, "_laplace", lambda m: cores.append(m) or laplace(m))
     matrix = AlexanderMatrix([{0: -ONE, 1: 1 + Q, 2: 2 + S}, {0: 1 - Q, 2: 3 + T},
-                              {1: 2 + T, 2: 1 + S * T}], ["a", "b", "c"], [0, 1, 2])
+                              {1: 2 + T, 2: 1 + S * T}], [0, 1, 2])
     assert determinant(matrix) == determinant_cofactor(matrix)
     assert cores[0] == [
         [(1 - Q * Q).terms, ((1 - Q) * (2 + S) + 3 + T).terms], [(2 + T).terms, (1 + S * T).terms]]
@@ -563,7 +566,7 @@ def test_determinant_leaves_its_input_unchanged():
     # one polynomial object in several rows, at entries that elimination updates
     p, u = 1 + S * T, -S
     m = AlexanderMatrix([{0: u, 1: p, 2: p}, {0: p, 1: u, 2: p}, {0: p, 1: p, 2: u}],
-                        list(range(3)), list(range(3)))
+                        list(range(3)))
     want = determinant_cofactor(m)
     assert determinant(m) == want and not want.is_zero()
     assert p == 1 + S * T and u == -S
@@ -590,7 +593,7 @@ def test_determinant_matches_sympy_berkowitz():
     for n in [1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5]:
         grid = [[_unit_free_entry(rng) for _j in range(n)] for _i in range(n)]
         m = AlexanderMatrix([{j: v for j, v in enumerate(row) if v} for row in grid],
-                            list(range(n)), list(range(n)))
+                            list(range(n)))
         # shift every entry by one monomial so that sympy sees polynomials
         shift = tuple(-min([0] + [e[i] for r in m.rows for v in r.values() for e in v.terms])
                       for i in range(4))
@@ -762,14 +765,14 @@ def test_gcd_of_minors_does_not_depend_on_minor_order(monkeypatch):
 
 
 def test_gcd_of_minors_zero_matrix():
-    m = AlexanderMatrix([{}, {}], ["a", "b"], [0, 1])
+    m = AlexanderMatrix([{}, {}], [0, 1])
     assert gcd_of_minors(m) == ZERO
 
 
 def test_gcd_of_minors_rejects_large():
     rows = [{j: ONE for j in range(9)} for _ in range(9)]
     with pytest.raises(ValueError):
-        gcd_of_minors(AlexanderMatrix(rows, list(range(9)), list(range(9))))
+        gcd_of_minors(AlexanderMatrix(rows, list(range(9))))
 
 
 def _sparse_minor_entry(rng):
@@ -792,7 +795,7 @@ def _minor_cases():
         n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
         rows = [{j: v for j in range(n_cols) for v in [_sparse_minor_entry(rng)] if v}
                 for _i in range(n_rows)]
-        cases.append(AlexanderMatrix(rows, list(range(n_rows)), list(range(n_cols))))
+        cases.append(AlexanderMatrix(rows, list(range(n_cols))))
     return cases
 
 
@@ -803,7 +806,7 @@ def _cofactor_minors(matrix, rsel, k):
     for csel in combinations(range(len(matrix.cols)), k):
         cols = [matrix.cols[j] for j in csel]
         sub = AlexanderMatrix([{c: matrix.rows[r][c] for c in cols if c in matrix.rows[r]}
-                               for r in rsel], list(rsel), cols)
+                               for r in rsel], cols)
         out[sum(1 << j for j in csel)] = determinant_cofactor(sub)
     return out
 
@@ -868,17 +871,16 @@ def test_prop1_on_samples():
 def test_skein_matrices_templates():
     code = parse_diagram("O1+ O2+ U1+ O3+ U2+ U3+")
     plus, minus, smooth = skein_matrices(code, 2)
-    # shared labeling at the even crossing: x=1, y=4, z=5, w=2
-    assert row_map(plus, (2, "z")) == {1: 1 - S * T, 4: T, 5: LaurentPoly.const(-1)}
-    assert row_map(plus, (2, "w")) == {1: S, 2: LaurentPoly.const(-1)}
-    assert row_map(minus, (2, "z")) == {4: S1, 5: LaurentPoly.const(-1)}
-    assert row_map(minus, (2, "w")) == {1: T1, 4: 1 - S1 * T1, 2: LaurentPoly.const(-1)}
-    assert row_map(smooth, (2, "z")) == {1: ONE, 5: LaurentPoly.const(-1)}
-    assert row_map(smooth, (2, "w")) == {4: ONE, 2: LaurentPoly.const(-1)}
-    # all other rows byte-identical across the three matrices
-    for lbl in plus.row_labels:
-        if lbl[0] != 2:
-            assert row_map(plus, lbl) == row_map(minus, lbl) == row_map(smooth, lbl)
+    # shared role arcs at the even crossing: x=1, y=4, z=5, w=2
+    assert row_map(plus, code, (2, "z")) == {1: 1 - S * T, 4: T, 5: LaurentPoly.const(-1)}
+    assert row_map(plus, code, (2, "w")) == {1: S, 2: LaurentPoly.const(-1)}
+    assert row_map(minus, code, (2, "z")) == {4: S1, 5: LaurentPoly.const(-1)}
+    assert row_map(minus, code, (2, "w")) == {1: T1, 4: 1 - S1 * T1, 2: LaurentPoly.const(-1)}
+    assert row_map(smooth, code, (2, "z")) == {1: ONE, 5: LaurentPoly.const(-1)}
+    assert row_map(smooth, code, (2, "w")) == {4: ONE, 2: LaurentPoly.const(-1)}
+    # all other rows identical across the three matrices: crossing 2 holds rows 2 and 3
+    others = [m.rows[:2] + m.rows[4:] for m in (plus, minus, smooth)]
+    assert others[0] == others[1] == others[2]
 
 
 def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
@@ -890,7 +892,7 @@ def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
         code = random_code(rng, max_crossings=rng.choice([3, 6, 9]),
                            p_virtual=rng.choice([0.0, 0.4]))
         A = build_matrix_A(code)
-        for r in crossings(code):
+        for i, r in enumerate(crossings(code)):
             cid, cls = r.cid, r.cls
             if cls not in ("even+", "even-"):
                 continue
@@ -903,9 +905,9 @@ def test_skein_triple_is_A_of_both_signs_and_the_smoothing():
             w_row = {r.w_out: LaurentPoly.const(-1)}
             w_row[r.y_in] = w_row.get(r.y_in, ZERO) + ONE
             expected = list(A.rows)
-            k = A.row_labels.index((cid, "z"))
-            expected[k:k + 2] = [{c: v for c, v in row.items() if v} for row in (z_row, w_row)]
-            assert smooth == AlexanderMatrix(expected, A.row_labels, A.cols)
+            expected[2 * i:2 * i + 2] = [{c: v for c, v in row.items() if v}
+                                         for row in (z_row, w_row)]
+            assert smooth == AlexanderMatrix(expected, A.cols)
     assert sites > 200
 
 

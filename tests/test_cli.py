@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,7 @@ def test_verify_failures_print_their_counterexamples(capsys, monkeypatch):
     from dataclasses import replace
     from types import SimpleNamespace
 
-    from paritypoly import verify
+    from paritypoly import foxcalc as fx, verify
 
     corpus = FIXTURES / "corpus50.vkd"
     real_skein = verify.check_even_skein
@@ -143,6 +144,21 @@ def test_verify_failures_print_their_counterexamples(capsys, monkeypatch):
     for part in ("changed the invariant:\n  before: ", "\n  after:  ",
                  "\n  phi(before) = s^", "\n  phi(after)  = s^"):
         assert part in dump
+    monkeypatch.undo()
+
+    # a Fox identity check that fails on every word of more than 10 letters
+    monkeypatch.setattr(fx, "fundamental_identity_check", lambda w: len(w) <= 10)
+    rc, out, _ = run(capsys, "verify", "foxid", FIXTURES / "unknot.vkd",
+                     "--trials", "20", "--seed", "3")
+    rng = random.Random(3)
+    long_words = [(t, w) for t, w in enumerate(verify.random_word(rng) for _ in range(20))
+                  if len(w) > 10]
+    assert rc == 1 and long_words
+    assert out.splitlines() == [
+        *(line for t, w in long_words for line in (f"FAIL word trial {t}", fx.word_to_string(w))),
+        "FAIL fundamental identity on 20 random words", f"{len(long_words)} failures",
+        f"suite foxid: 1/{len(long_words) + 2} checks passed",  # the pass: det(M) = 0
+    ]
 
 
 def test_batch(capsys, tmp_path):
@@ -317,7 +333,7 @@ def test_main_names_realization_errors(capsys, tmp_path, monkeypatch):
 
 
 def test_main_names_arithmetic_errors(capsys, monkeypatch):
-    from paritypoly import verify
+    from paritypoly import foxcalc as fx, verify
     from paritypoly.laurent import InexactDivision
 
     def gcd_of_minors(matrix):

@@ -35,6 +35,14 @@ def test_basic_arithmetic():
         S + "x"
 
 
+def test_unhashable_and_equal_to_ints():
+    # == holds against ints, which a hash would have to match: no polynomial
+    # is a dict key or set member
+    assert ONE == 1 and ZERO == 0
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ONE)
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(60):

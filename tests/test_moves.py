@@ -150,6 +150,14 @@ def test_move_preconditions():
     refused(code, ("r2_remove", [1], 2), "bad r2_remove parameters ('r2_remove', [1], 2)")
     refused(virtual, ("v2_remove", 1, {}), "bad v2_remove parameters ('v2_remove', 1, {})")
     refused(code, ("r1_remove", "z"), "crossing z is not classical")
+    # a bool or float is no int, though True == 1 and 2.0 == 2 (JSON can hold true)
+    mixed = parse_diagram("O1+ U1+ V2x V2y")
+    refused(mixed, ("r1_remove", True), "crossing True is not classical")
+    refused(mixed, ("v1_remove", 2.0), "crossing 2.0 is not virtual")
+    refused(mixed, ("r1_insert", True, "o", 1),
+            "bad r1_insert parameters ('r1_insert', True, 'o', 1)")
+    refused(mixed, ("r1_insert", 1, "o", True),
+            "bad r1_insert parameters ('r1_insert', 1, 'o', True)")
     refused(code, ("r3_insert", 1), "unknown move kind 'r3_insert'")
     refused(code, (["r1_remove"], 1), "unknown move kind ['r1_remove']")
     # one too short and one too long tuple per kind

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -369,6 +370,16 @@ def test_crossing_search_degeneracies_raise(segs, message):
         _crossings(segs, {})
     with pytest.raises(RealizationError):
         all_pairs_intersections(segs)
+
+
+@pytest.mark.parametrize("verts, message", [
+    # a repeated vertex, and the closing segment back to the first vertex
+    ([(0, 0), (0, 0), (10, 0)], "zero-length segment at vertex 0: (0, 0)"),
+    ([(0, 0), (10, 0), (10, 10)], "non-axis-aligned segment (10, 10) -> (0, 0)"),
+])
+def test_segments_degeneracies_raise(verts, message):
+    with pytest.raises(RealizationError, match=f"^{re.escape(message)}$"):
+        _segments(verts)
 
 
 def test_three_segments_meet_whichever_pair_is_collinear():
